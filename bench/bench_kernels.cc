@@ -159,9 +159,8 @@ BENCHMARK(BM_BatchRecommend)
 
 // Walk-kernel sweep at cache-boundary sizes on the synthetic expander
 // (bench/synthetic_walk_graph.h). Arg = target node count; pick args so
-// the value vector (8·nodes bytes) lands below and above L2 to see the
-// adaptive plan switch (the label records which plan BuildTransitions
-// picked). One "iteration" = BuildTransitions + CompileAbsorbingSweep +
+// the value vector (8·nodes bytes) lands below and above L2. One
+// "iteration" = BuildTransitions (identity plan) + CompileAbsorbingSweep +
 // a full τ = 15 ranking sweep — the per-query cost the serving path pays
 // on a cache miss.
 void BM_WalkKernelSweep(benchmark::State& state) {
@@ -188,13 +187,13 @@ BENCHMARK(BM_WalkKernelSweep)
     ->Arg(1 << 19)
     ->Unit(benchmark::kMillisecond);
 
-// Steady-state flavour: the full WalkPlan (layout permutation +
-// transition CSR + sweep-plan selection) is built once — the
-// SubgraphCache admission cost — and every iteration adopts it, which is
-// exactly what a cache-hit query pays: AdoptPlan is two pointer stores,
-// then compile + sweep. Compare against BM_WalkKernelSweep at the same
-// size for the warm-path payoff; below the reorder threshold the layout
-// is null and only the transition-build saving remains.
+// Steady-state flavour: the WalkPlan (plus the layout permutation past the
+// reorder threshold) is built once — the SubgraphCache admission cost —
+// and every iteration adopts it, which is exactly what a cache-hit query
+// pays: AdoptPlan is two pointer stores, then compile + sweep. Compare
+// against BM_WalkKernelSweep at the same size for the warm-path payoff;
+// below the reorder threshold the layout is null and both run the
+// identity plan.
 void BM_WalkKernelSweepCachedLayout(benchmark::State& state) {
   const BipartiteGraph g =
       bench::MakeSyntheticWalkGraph(static_cast<int32_t>(state.range(0)));

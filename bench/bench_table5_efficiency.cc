@@ -123,22 +123,21 @@ struct KernelTimings {
   int32_t nodes = 0;
   int64_t edges = 0;
   int iterations = 0;
-  /// One DP value vector (8·nodes): the quantity the plan thresholds gate
-  /// on, and the deepest cache it fits in on this machine.
+  /// One DP value vector (8·nodes): the quantity the cache's reorder
+  /// threshold gates on, and the deepest cache it fits in on this machine.
   size_t value_bytes = 0;
   const char* cache_level = "";
-  /// Memory-layout plan BuildTransitions picked for this size (the
-  /// tentpole's measured dimension): simple / blocked / blocked_reordered,
-  /// whether the CSR was permuted, and the L1 row tile.
+  /// Plan the per-query BuildTransitions bound (always "identity": a cold
+  /// build never carries a layout) and whether its CSR was permuted.
   const char* layout_strategy = "";
   bool reordered = false;
-  int32_t row_tile = 0;
   double reference_ns_per_iteration = 0.0;
   double kernel_full_ns_per_iteration = 0.0;
   double kernel_ranking_ns_per_iteration = 0.0;
   /// Steady-state serving path: ranking sweep over a layout pre-built at
   /// SubgraphCache admission (the permutation is outside the timed loop,
-  /// exactly as a cache hit amortizes it).
+  /// exactly as a cache hit amortizes it). cached_strategy is "layout"
+  /// past the cache's reorder threshold, "identity" below it.
   double kernel_cached_ns_per_iteration = 0.0;
   const char* cached_strategy = "";
   double reference_rows_per_second = 0.0;
@@ -162,6 +161,10 @@ struct KernelTimings {
     double speedup_vs_width1 = 0.0;
   };
   std::vector<FusedRung> fused;
+  /// Fusion against the best existing path: the cached single-query sweep
+  /// time over the width-8 per-query time (> 1 means fusing 8 queries beats
+  /// answering them one by one). Informational; not gated.
+  double fused_vs_single = 0.0;
 };
 
 /// Deepest cache level one value vector of `bytes` fits in.
@@ -201,7 +204,7 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   // exactly what SubgraphCache admission does, so the timed loop below is
   // the serving warm path: AdoptPlan (two pointer stores) + compile +
   // sweep, zero O(E) transition builds. The layout is null below the
-  // reorder threshold (then the plan is the plain auto plan, i.e.
+  // reorder threshold (then the plan is the identity plan, i.e.
   // cache-hit == cold plan parity).
   const std::shared_ptr<const WalkLayout> cached_layout =
       BuildWalkLayoutIfBeneficial(g);
@@ -287,7 +290,6 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
   // The kernel still holds the plan its last BuildTransitions picked.
   row.layout_strategy = kernel.sweep_strategy();
   row.reordered = kernel.reordered();
-  row.row_tile = kernel.row_tile();
   row.cached_strategy = cached_kernel.sweep_strategy();
   const double sweeps = static_cast<double>(reps) * tau;
   row.reference_ns_per_iteration = 1e9 * ref_seconds / sweeps;
@@ -341,6 +343,10 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
       std::sort(ratios.begin(), ratios.end());
       rung.speedup_vs_width1 = ratios[kFusedRounds / 2];
       row.fused.push_back(rung);
+      if (rung.width == 8 && rung.per_query_ns_per_iteration > 0.0) {
+        row.fused_vs_single = row.kernel_cached_ns_per_iteration /
+                              rung.per_query_ns_per_iteration;
+      }
     }
   }
   std::printf(
@@ -356,7 +362,8 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
     std::printf("  w%-2d %9.0f (%4.2fx)", rung.width,
                 rung.per_query_ns_per_iteration, rung.speedup_vs_width1);
   }
-  std::printf("\n");
+  std::printf("\n%12s   fused w8 vs cached single sweep: %.2fx\n", "",
+              row.fused_vs_single);
   return row;
 }
 
@@ -364,9 +371,9 @@ KernelTimings BenchKernelGraph(const char* name, const BipartiteGraph& g,
 /// spanning the machine's cache boundaries: µ-capped extractions from the
 /// corpus (µ/4 up to the uncapped reachable component) plus synthetic
 /// rungs sized off the measured geometry so the value vector crosses L2 —
-/// the region where the reordered layout plan engages. Each row records
-/// the plan BuildTransitions picked, so the JSON shows the measured
-/// crossover points, not just the configured thresholds.
+/// the region where the cache builds a layout. Each row records the plan
+/// the cached configuration swept, so the JSON shows the measured
+/// crossover point, not just the configured threshold.
 std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
   const BipartiteGraph graph = BipartiteGraph::FromDataset(d, true);
   // The busiest user seeds the largest (most representative) subgraphs.
@@ -395,11 +402,9 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
     WalkKernel probe_kernel;
     std::printf(
         "\n# walk kernel (truncated sweep, tau = %d, single thread, "
-        "isa = %s,\n#              L1d %zuK / L2 %zuK / L3 %zuM, row tile "
-        "%d)\n\n",
+        "isa = %s,\n#              L1d %zuK / L2 %zuK / L3 %zuM)\n\n",
         tau, probe_kernel.isa_name(), geo.l1d_bytes / 1024,
-        geo.l2_bytes / 1024, geo.l3_bytes / (1024 * 1024),
-        WalkKernel::BlockedPlanRowTile());
+        geo.l2_bytes / 1024, geo.l3_bytes / (1024 * 1024));
   }
   std::printf("%12s %8s %10s %4s %18s %11s %11s %11s %11s %8s %8s %8s\n",
               "subgraph", "nodes", "edges", "fits", "steady layout",
@@ -425,8 +430,8 @@ std::vector<KernelTimings> RunKernelBench(const Dataset& d, int tau) {
         BenchKernelGraph(size.name, sub.graph, absorbing, tau, /*rounds=*/7));
   }
 
-  // Synthetic cache-boundary rungs: value vector at half of L2 (blocked,
-  // identity order) and at 3x L2 (past the reorder threshold). Sized from
+  // Synthetic cache-boundary rungs: value vector at half of L2 (identity
+  // plan) and at 3x L2 (past the reorder threshold: layout plan). Sized from
   // the measured geometry so they land on the boundary on any machine;
   // capped so a huge-L2 host cannot make the smoke run unbounded. Fewer
   // timing rounds: at these sizes each round is hundreds of milliseconds
@@ -465,35 +470,22 @@ void WriteKernelJsonSection(std::FILE* f,
                "    \"cache_geometry\": {\"l1d_bytes\": %zu, "
                "\"l2_bytes\": %zu, \"l3_bytes\": %zu},\n",
                geo.l1d_bytes, geo.l2_bytes, geo.l3_bytes);
-  // The configured plan thresholds (docs/KERNELS.md "Tuning"), alongside
-  // the measured crossovers below so a drifted machine is visible.
+  // The cache's configured reorder threshold (docs/KERNELS.md "Tuning"),
+  // alongside the measured crossover below so a drifted machine is
+  // visible.
   std::fprintf(f,
-               "    \"thresholds\": {\"simple_max_value_bytes\": %zu, "
-               "\"reorder_value_bytes_above\": %zu, "
-               "\"reorder_min_entries_per_node\": 2, \"row_tile_rows\": "
-               "%d},\n",
-               WalkKernel::SimplePlanMaxValueBytes(), geo.l2_bytes,
-               WalkKernel::BlockedPlanRowTile());
-  // Measured crossover points: the smallest swept size where the cost
-  // probe left the simple plan, and where the cached (steady-state
-  // serving) plan starts reordering.
-  int32_t to_blocked = 0, to_reordered = 0;
+               "    \"thresholds\": {\"reorder_value_bytes_above\": %zu, "
+               "\"reorder_min_entries_per_node\": 2},\n",
+               geo.l2_bytes);
+  // Measured crossover: the smallest swept size where the cached
+  // (steady-state serving) plan starts reordering.
+  int32_t to_reordered = 0;
   for (const KernelTimings& r : rows) {
-    if (to_blocked == 0 && std::string(r.layout_strategy) != "simple") {
-      to_blocked = r.nodes;
-    }
-    if (to_reordered == 0 &&
-        std::string(r.cached_strategy) == "blocked_reordered") {
+    if (to_reordered == 0 && r.cached_strategy == std::string("layout")) {
       to_reordered = r.nodes;
     }
   }
-  std::fprintf(f, "    \"crossovers\": {\"simple_to_blocked_nodes\": ");
-  if (to_blocked > 0) {
-    std::fprintf(f, "%d", to_blocked);
-  } else {
-    std::fprintf(f, "null");
-  }
-  std::fprintf(f, ", \"reorder_nodes\": ");
+  std::fprintf(f, "    \"crossovers\": {\"reorder_nodes\": ");
   if (to_reordered > 0) {
     std::fprintf(f, "%d", to_reordered);
   } else {
@@ -507,22 +499,24 @@ void WriteKernelJsonSection(std::FILE* f,
         "      {\"name\": \"%s\", \"nodes\": %d, \"edges\": %lld, "
         "\"iterations\": %d, \"value_bytes\": %zu, "
         "\"cache_level\": \"%s\", \"layout\": {\"strategy\": \"%s\", "
-        "\"reordered\": %s, \"row_tile\": %d, \"cached_strategy\": "
-        "\"%s\"}, \"reference_ns_per_iteration\": %.1f, "
+        "\"reordered\": %s, \"cached_strategy\": \"%s\"}, "
+        "\"reference_ns_per_iteration\": %.1f, "
         "\"kernel_full_ns_per_iteration\": %.1f, "
         "\"kernel_ranking_ns_per_iteration\": %.1f, "
         "\"kernel_cached_ns_per_iteration\": %.1f, "
         "\"reference_rows_per_second\": %.0f, "
         "\"kernel_rows_per_second\": %.0f, "
         "\"full_vs_reference_speedup\": %.2f, \"speedup\": %.2f, "
-        "\"cached_speedup\": %.2f, \"fused\": [",
+        "\"cached_speedup\": %.2f, \"fused_vs_single\": %.2f, "
+        "\"fused\": [",
         r.name.c_str(), r.nodes, static_cast<long long>(r.edges),
         r.iterations, r.value_bytes, r.cache_level, r.layout_strategy,
-        r.reordered ? "true" : "false", r.row_tile, r.cached_strategy,
+        r.reordered ? "true" : "false", r.cached_strategy,
         r.reference_ns_per_iteration, r.kernel_full_ns_per_iteration,
         r.kernel_ranking_ns_per_iteration, r.kernel_cached_ns_per_iteration,
         r.reference_rows_per_second, r.kernel_rows_per_second,
-        r.full_vs_reference_speedup, r.speedup, r.cached_speedup);
+        r.full_vs_reference_speedup, r.speedup, r.cached_speedup,
+        r.fused_vs_single);
     for (size_t j = 0; j < r.fused.size(); ++j) {
       const KernelTimings::FusedRung& rung = r.fused[j];
       std::fprintf(f,

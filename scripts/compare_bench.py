@@ -32,6 +32,9 @@ Usage:
           --min-fused-w8 over width 1. In-cache rows are reported but not
           gated: there the single-query sweep is already compute-bound
           and fusion's benefit is incidental.
+        * every "kernel" sweep row's fused_vs_single (width-8 per-query
+          time against the cached single-query sweep) is printed for
+          information only; it is not gated.
         * every "serving" algorithm row's steady_vs_cold_speedup (warm
           cache-served pass vs the cold pass of the same run) is
           >= --min-serving-warm, gated only where the cold pass
@@ -297,6 +300,13 @@ def assert_invariants(candidate, min_full_speedup, min_ref_ns,
         )
         if not ok:
             failures.append(("kernel", name, "fused.w8.speedup_vs_width1"))
+    # Fusion against the best existing path (width-8 per-query time vs the
+    # cached single-query sweep). Reported, never gated.
+    for name, row in sorted(sweeps.items()):
+        ratio = metric(row, "fused_vs_single")
+        if ratio is not None:
+            print(f"   kernel/{name}: fused_vs_single {ratio:.2f} "
+                  f"[informational]")
     serving = rows_by_name(candidate, "serving", "algorithms")
     if not serving:
         print("  [info] no serving rows (kernel-only run?); "

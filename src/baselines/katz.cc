@@ -115,7 +115,7 @@ Result<std::vector<double>> KatzRecommender::ComputeKatzVector(
   frontier[graph_.UserNode(user)] = 1.0;
   for (int step = 0; step < options_.max_path_length; ++step) {
     // next = β A · frontier in one kernel Apply: a sparse push while the
-    // frontier is small, a blocked gather over the raw (symmetric)
+    // frontier is small, a row gather over the raw (symmetric)
     // adjacency once activation has spread.
     kernel_.Apply(options_.beta, frontier.data(), 0.0, nullptr, next.data());
     for (int32_t v = 0; v < n; ++v) accum[v] += next[v];

@@ -55,7 +55,7 @@ class KatzRecommender : public Recommender {
   /// intentionally non-copyable.
   std::shared_ptr<const WalkPlan> plan_;
   /// Sweep scratch bound to `plan_`: each spreading-activation step
-  /// x ← βAx is one kernel Apply (blocked gather over the symmetric
+  /// x ← βAx is one kernel Apply (row gather over the symmetric
   /// adjacency).
   WalkKernel kernel_;
 };

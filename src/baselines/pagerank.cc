@@ -141,7 +141,7 @@ Result<std::vector<double>> PageRankRecommender::ComputePpr(
   std::vector<double> next(n, 0.0);
   for (int it = 0; it < options_.max_iterations; ++it) {
     // next = (1-λ) restart + λ Pᵀ π in one kernel Apply: a sparse push
-    // while π is concentrated (early iterations), a blocked gather over
+    // while π is concentrated (early iterations), a row gather over
     // the column-stochastic transition CSR once it has spread.
     kernel_.Apply(lambda, pi.data(), 1.0 - lambda, restart.data(),
                   next.data());

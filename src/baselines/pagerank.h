@@ -65,7 +65,7 @@ class PageRankRecommender : public Recommender {
   /// non-copyable); any number of kernels could adopt it concurrently.
   std::shared_ptr<const WalkPlan> plan_;
   /// Per-object sweep scratch bound to `plan_`: each power iteration is
-  /// one kernel Apply (π ← (1-λ)e + λPᵀπ as a blocked gather) instead of
+  /// one kernel Apply (π ← (1-λ)e + λPᵀπ as a row gather) instead of
   /// the old edge-by-edge scatter.
   WalkKernel kernel_;
 };

@@ -201,7 +201,7 @@ Status GraphRecommenderBase::ComputeWalk(UserId user, WalkWorkspace* ws,
     // of ws->values hold intermediates and must not be read.
     if (sub.plan != nullptr) {
       // Warm path: the cache payload carries the plan built at admission
-      // (transitions + sweep-plan selection + layout binding). Adoption is
+      // (the graph's or the layout's CSR, bound once). Adoption is
       // two pointer stores — the query's only remaining per-node work is
       // the coefficient compile below. Bit-identical to the cold branch:
       // the admission build ran the same decision procedure on the same

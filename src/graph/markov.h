@@ -34,7 +34,7 @@ class WalkKernel;
 /// are node-indexed over `g` (size num_nodes); `node_cost[i]` is the cost
 /// paid per step leaving i — unit cost yields absorbing *time* in expected
 /// steps, the Eq. 9 entropy costs yield absorbing *cost*. `iterations <= 0`
-/// returns all zeros. Every flavour below runs on the blocked WalkKernel
+/// returns all zeros. Every flavour below runs on the WalkKernel
 /// (see graph/walk_kernel.h); agreement with the retained reference loop
 /// is ~1e-13 relative per iteration, enforced by tests/walk_kernel_test.cc.
 std::vector<double> AbsorbingValueTruncated(const BipartiteGraph& g,
@@ -54,9 +54,8 @@ void AbsorbingValueTruncated(const BipartiteGraph& g,
                              std::vector<double>* scratch);
 
 /// Kernel flavour: compiles `g` + the query's absorbing flags and costs
-/// into `*kernel` (its normalized transition CSR and branch-free sweep
-/// coefficients are rebuilt here, reusing capacity) and runs the blocked
-/// sweep. This is the batch engine's path: one kernel per WalkWorkspace,
+/// into `*kernel` (its plan and branch-free sweep coefficients are
+/// rebuilt here, reusing capacity) and runs the sweep. This is the batch engine's path: one kernel per WalkWorkspace,
 /// zero allocation once buffers have grown.
 void AbsorbingValueTruncated(const BipartiteGraph& g,
                              const std::vector<bool>& absorbing,

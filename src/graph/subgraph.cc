@@ -81,24 +81,12 @@ NodeId SubgraphNodeIndex::LocalItem(ItemId global_item) const {
 
 NodeId Subgraph::LocalUserNode(UserId global_user) const {
   if (workspace_ != nullptr) return workspace_->LocalUser(global_user);
-  if (node_index.built()) return node_index.LocalUser(global_user);
-  if (global_user < 0 ||
-      global_user >= static_cast<int32_t>(global_user_to_local.size())) {
-    return -1;
-  }
-  return global_user_to_local[global_user];
+  return node_index.LocalUser(global_user);
 }
 
 NodeId Subgraph::LocalItemNode(ItemId global_item) const {
   if (workspace_ != nullptr) return workspace_->LocalItem(global_item);
-  if (node_index.built()) return node_index.LocalItem(global_item);
-  if (global_item < 0 ||
-      global_item >= static_cast<int32_t>(global_item_to_local.size())) {
-    return -1;
-  }
-  const int32_t local_item = global_item_to_local[global_item];
-  if (local_item < 0) return -1;
-  return static_cast<NodeId>(users.size()) + local_item;
+  return node_index.LocalItem(global_item);
 }
 
 void WalkWorkspace::AdoptSharedSubgraph(std::shared_ptr<const Subgraph> src) {
@@ -141,8 +129,6 @@ void WalkWorkspace::AdoptSubgraph(const BipartiteGraph& g,
   // deep copy does not keep alive. The copy path rebuilds transitions.
   sub_.plan.reset();
   sub_.node_index.Clear();
-  sub_.global_user_to_local.clear();
-  sub_.global_item_to_local.clear();
   for (size_t lu = 0; lu < sub_.users.size(); ++lu) {
     const NodeId gv = g.UserNode(sub_.users[lu]);
     stamp_[gv] = epoch_;
@@ -166,8 +152,6 @@ Subgraph& ExtractSubgraphInto(const BipartiteGraph& g,
   sub.workspace_ = workspace;
   sub.users.clear();
   sub.items.clear();
-  sub.global_user_to_local.clear();
-  sub.global_item_to_local.clear();
   // A fresh extraction has no layout, plan or node index; the
   // SubgraphCache builds all three when (and only when) it admits this
   // subgraph as a payload.
@@ -258,16 +242,9 @@ Subgraph ExtractSubgraph(const BipartiteGraph& g,
   WalkWorkspace workspace;
   Subgraph sub = std::move(ExtractSubgraphInto(g, seed_nodes, options,
                                                &workspace));
-  // Detach from the dying workspace: materialize the owned lookup tables.
+  // Detach from the dying workspace: lookups move to the compact index.
   sub.workspace_ = nullptr;
-  sub.global_user_to_local.assign(g.num_users(), -1);
-  sub.global_item_to_local.assign(g.num_items(), -1);
-  for (size_t lu = 0; lu < sub.users.size(); ++lu) {
-    sub.global_user_to_local[sub.users[lu]] = static_cast<int32_t>(lu);
-  }
-  for (size_t li = 0; li < sub.items.size(); ++li) {
-    sub.global_item_to_local[sub.items[li]] = static_cast<int32_t>(li);
-  }
+  sub.node_index.Build(g.num_users(), g.num_items(), sub);
   return sub;
 }
 

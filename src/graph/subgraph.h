@@ -8,8 +8,9 @@
 //
 // Three ways a workspace comes to hold a subgraph:
 //  * ExtractSubgraph     — allocating; returns a self-contained Subgraph
-//    with owned O(num_users + num_items) reverse-lookup tables. Simple, but
-//    too expensive to run once per query under load.
+//    whose id lookups answer from its own compact SubgraphNodeIndex.
+//    Simple, but it allocates a fresh workspace per call, which is too
+//    expensive to run once per query under load.
 //  * ExtractSubgraphInto — writes into a caller-owned WalkWorkspace. The
 //    global-sized lookup tables are allocated once per workspace and
 //    invalidated between queries in O(1) via an epoch stamp, so the steady
@@ -38,10 +39,11 @@ class WalkWorkspace;
 struct Subgraph;
 struct SubgraphOptions;
 
-/// Compact global→local node index carried by cache payloads: an
-/// open-addressing hash over the subgraph's global node ids, sized
-/// O(subgraph nodes) — not O(global nodes), so thousands of cached entries
-/// stay cheap — and immutable after Build. It answers the same
+/// Compact global→local node index carried by cache payloads and by
+/// ExtractSubgraph's self-contained results: an open-addressing hash over
+/// the subgraph's global node ids, sized O(subgraph nodes) — not O(global
+/// nodes), so thousands of cached entries stay cheap — and immutable after
+/// Build. It answers the same
 /// LocalUserNode/LocalItemNode queries the workspace's epoch-stamped
 /// tables do, which is what lets a cache hit skip the O(V) stamp rebuild
 /// entirely.
@@ -88,34 +90,27 @@ struct Subgraph {
   /// the walk plan sweeps the permuted CSR without re-permuting. Null for
   /// fresh extractions and below-threshold graphs.
   std::shared_ptr<const WalkLayout> layout;
-  /// The immutable walk plan for `graph` (row-stochastic transitions +
-  /// sweep-plan selection + `layout` binding), built once at SubgraphCache
+  /// The immutable walk plan for `graph` (the identity plan, or the layout
+  /// plan bound to `layout`), built once at SubgraphCache
   /// admission. Non-null only on cache payloads; adopters bind to it via
   /// WalkKernel::AdoptPlan instead of running BuildTransitions. The plan
   /// points into this Subgraph's own graph/layout, so it is only valid
   /// while the payload is alive — holders must keep the payload
   /// shared_ptr, which is exactly what AdoptSharedSubgraph does.
   std::shared_ptr<const WalkPlan> plan;
-  /// Compact global→local index, built at admission alongside `plan`.
-  /// Empty on fresh extractions (the workspace's stamped tables answer
-  /// lookups there).
+  /// Compact global→local index, built at admission alongside `plan` and
+  /// by the allocating ExtractSubgraph. Empty on workspace-backed
+  /// extractions (the workspace's stamped tables answer lookups there).
   SubgraphNodeIndex node_index;
 
   /// Local *node* id (not local user/item index) of a global user/item:
   /// users map to [0, users.size()), items to [users.size(),
   /// num_nodes()). Returns -1 when the global id is absent from the
-  /// subgraph or out of range; never aborts. O(1) every way (the backing
-  /// workspace's epoch-stamped tables, the payload node index, or the
-  /// owned tables — consulted in that order).
+  /// subgraph or out of range; never aborts. O(1) either way: the backing
+  /// workspace's epoch-stamped tables for a workspace-backed subgraph,
+  /// node_index otherwise.
   NodeId LocalUserNode(UserId global_user) const;
   NodeId LocalItemNode(ItemId global_item) const;
-
-  /// Reverse lookup tables (sized to the global graph); built by the
-  /// allocating ExtractSubgraph. Workspace-backed subgraphs leave these
-  /// empty and answer lookups from the workspace's epoch-stamped tables;
-  /// payloads answer from node_index.
-  std::vector<int32_t> global_user_to_local;
-  std::vector<int32_t> global_item_to_local;
 
  private:
   friend class WalkWorkspace;

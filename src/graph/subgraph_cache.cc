@@ -17,9 +17,8 @@ size_t RoundUpPow2(size_t v) {
 }
 
 /// Bytes of the admission-built plan structures: the WalkPlan's owned
-/// storage (materialized transition values, if any — identity-order
-/// row-stochastic plans normalize on the fly, and layout-backed plans
-/// borrow the layout's row_prob, so this is usually just the struct) plus
+/// storage (just the struct — row-stochastic plans normalize on the fly
+/// from the graph's or the layout's arrays and materialize nothing) plus
 /// the compact node index. Reported as its own gauge so the memory cost of
 /// the zero-copy warm path stays visible next to the CSR it annotates.
 size_t PlanBytes(const Subgraph& sub) {
@@ -30,8 +29,8 @@ size_t PlanBytes(const Subgraph& sub) {
 
 /// Resident payload estimate: the CSR (adjacency + weights + row pointers +
 /// weighted degrees) dominates; id maps, seeds, the optional walk layout
-/// (permutation + permuted CSR + transition values) and the plan + node
-/// index ride along.
+/// (permutation + permuted CSR, weights and weighted degrees) and the
+/// plan + node index ride along.
 size_t PayloadBytes(const Subgraph& sub, size_t num_seeds) {
   const size_t nodes = static_cast<size_t>(sub.graph.num_nodes());
   const size_t entries = 2 * static_cast<size_t>(sub.graph.num_edges());
@@ -44,7 +43,8 @@ size_t PayloadBytes(const Subgraph& sub, size_t num_seeds) {
     bytes += sub.layout->perm.size() * sizeof(int32_t) +
              sub.layout->ptr.size() * sizeof(int64_t) +
              sub.layout->col.size() * sizeof(NodeId) +
-             sub.layout->row_prob.size() * sizeof(double);
+             sub.layout->w.size() * sizeof(double) +
+             sub.layout->wdeg.size() * sizeof(double);
   }
   return bytes + PlanBytes(sub);
 }
@@ -136,8 +136,8 @@ bool SubgraphCache::Matches(const Entry& e, uint64_t fingerprint,
 
 std::shared_ptr<const Subgraph> SubgraphCache::DetachPayload(
     const WalkWorkspace& ws) const {
-  // Reverse-lookup tables stay empty: adopters answer global→local queries
-  // from the compact node index built below.
+  // Adopters answer global→local queries from the compact node index
+  // built below.
   auto sub = std::make_shared<Subgraph>();
   sub->graph = ws.sub().graph.CompactCopy();
   sub->users = ws.sub().users;
@@ -146,7 +146,7 @@ std::shared_ptr<const Subgraph> SubgraphCache::DetachPayload(
   // leader itself) sweeps the permuted CSR without re-permuting.
   if (always_build_layout_ && sub->graph.num_nodes() > 0) {
     auto layout = std::make_shared<WalkLayout>();
-    BuildWalkLayout(sub->graph, /*with_row_prob=*/true, layout.get());
+    BuildWalkLayout(sub->graph, layout.get());
     sub->layout = std::move(layout);
   } else {
     sub->layout = BuildWalkLayoutIfBeneficial(sub->graph);

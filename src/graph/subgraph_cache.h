@@ -7,7 +7,7 @@
 // rebuild byte-identical induced CSRs. The cache keys an entry by the exact
 // extraction inputs (graph fingerprint, seed sequence, µ) and stores an
 // immutable payload holding everything a query needs: the extracted
-// subgraph, its WalkLayout, its WalkPlan (transitions + sweep plan, built
+// subgraph, its WalkLayout, its WalkPlan (the arrays its sweeps read, bound
 // exactly once at admission) and a compact global→local node index. A hit
 // installs the payload into the caller's WalkWorkspace via
 // WalkWorkspace::AdoptSharedSubgraph — a single shared_ptr store, zero
@@ -81,7 +81,7 @@ struct SubgraphCacheStats {
   size_t entries = 0;
   size_t resident_bytes = 0;
   /// Slice of resident_bytes owned by admission-built plan structures (the
-  /// WalkPlan's materialized values plus the payload node index), reported
+  /// WalkPlan struct plus the payload node index), reported
   /// separately so the cost of the zero-copy warm path stays visible.
   size_t plan_resident_bytes = 0;
 
@@ -227,10 +227,10 @@ class SubgraphCache {
   /// (the payload format entries and tickets share) and finishes it for
   /// zero-copy adoption: builds its walk layout when the subgraph crosses
   /// the reorder threshold (or always, under options.always_build_layout),
-  /// then the full WalkPlan (row-stochastic transitions + sweep-plan
-  /// selection, bound to the payload's own graph/layout) and the compact
-  /// global→local node index. This is the *only* place plans are built for
-  /// cached subgraphs — every adopter shares this one.
+  /// then the WalkPlan (the identity plan, or the layout plan when a
+  /// layout was built, bound to the payload's own graph/layout) and the
+  /// compact global→local node index. This is the *only* place plans are
+  /// built for cached subgraphs — every adopter shares this one.
   std::shared_ptr<const Subgraph> DetachPayload(const WalkWorkspace& ws) const;
   /// Inserts `sub` under `key`, refreshing recency if an identical entry
   /// raced in. Takes the shard lock itself.

@@ -53,15 +53,6 @@ const WalkKernelIsa* ActiveWalkKernelIsa() {
 
 namespace {
 
-/// Rows per L1 tile of the blocked row pass: each row streams ~48 B of
-/// dense state (cur/nxt values, three coefficients, a row pointer), and
-/// budgeting half of L1d for those streams leaves the other half to the
-/// gathered value window. 48 KiB L1d → 512-row tiles.
-int32_t RowTileForL1() {
-  const size_t tile = ProbeCacheGeometry().l1d_bytes / 96;
-  return static_cast<int32_t>(std::clamp<size_t>(tile, 256, 16384));
-}
-
 static_assert(WalkKernel::kMaxFusedWidth == internal::kMaxFusedWidth,
               "public cap must match the ISA tables' stack scratch");
 
@@ -77,12 +68,6 @@ WalkKernelFusedStats GetWalkKernelFusedStats() {
   s.lanes = g_fused_lanes.load(std::memory_order_relaxed);
   return s;
 }
-
-size_t WalkKernel::SimplePlanMaxValueBytes() {
-  return ProbeCacheGeometry().l2_bytes;
-}
-
-int32_t WalkKernel::BlockedPlanRowTile() { return RowTileForL1(); }
 
 int32_t WalkKernel::FusedWidthCap(int32_t num_nodes) {
   // 16 lanes while the whole 16-wide value block is L2-resident (fusing
@@ -108,24 +93,8 @@ void WalkKernel::ForceGenericIsaForTesting() {
   isa_ = internal::GenericWalkKernelIsa();
 }
 
-const char* WalkPlan::sweep_strategy() const {
-  if (norm_fly_ && row_tile_ == 0) return "simple";
-  return perm_ != nullptr ? "blocked_reordered" : "blocked";
-}
-
 size_t WalkPlan::OwnedBytes() const {
-  size_t bytes = sizeof(WalkPlan);
-  bytes += prob_.capacity() * sizeof(double);
-  bytes += own_layout_.perm.capacity() * sizeof(int32_t);
-  bytes += own_layout_.ptr.capacity() * sizeof(int64_t);
-  bytes += own_layout_.col.capacity() * sizeof(NodeId);
-  bytes += own_layout_.row_prob.capacity() * sizeof(double);
-  return bytes;
-}
-
-const char* WalkKernel::sweep_strategy() const {
-  if (plan_ == nullptr) return "unbound";
-  return plan_->sweep_strategy();
+  return sizeof(WalkPlan) + prob_.capacity() * sizeof(double);
 }
 
 void WalkKernel::BuildTransitions(const BipartiteGraph& g, Normalization norm,
@@ -133,7 +102,7 @@ void WalkKernel::BuildTransitions(const BipartiteGraph& g, Normalization norm,
   // Rebuild the kernel-owned plan in place (buffer capacity survives, so
   // steady-state cold queries stay allocation-free) and drop any
   // previously adopted shared plan.
-  own_plan_.Build(g, norm, std::move(layout), forced_plan_);
+  own_plan_.Build(g, norm, std::move(layout));
   adopted_.reset();
   plan_ = &own_plan_;
 }
@@ -146,8 +115,7 @@ void WalkKernel::AdoptPlan(std::shared_ptr<const WalkPlan> plan) {
 }
 
 void WalkPlan::Build(const BipartiteGraph& g, WalkNormalization norm,
-                     std::shared_ptr<const WalkLayout> layout,
-                     WalkSweepMode forced) {
+                     std::shared_ptr<const WalkLayout> layout) {
   graph_ = &g;
   norm_ = norm;
   num_nodes_ = g.num_nodes();
@@ -155,150 +123,53 @@ void WalkPlan::Build(const BipartiteGraph& g, WalkNormalization norm,
   const auto gptr = g.RowPointers();
   const auto gcol = g.FlatNeighbors();
   const auto w = g.FlatWeights();
-  const int64_t entries = n > 0 ? gptr[n] : 0;
-
-  // ---- Pick the plan (one-time cost probe per build) ----
-  bool simple = false;
-  bool reorder = false;
-  switch (forced) {
-    case WalkSweepMode::kSimple:
-      simple = true;
-      break;
-    case WalkSweepMode::kBlocked:
-      break;
-    case WalkSweepMode::kBlockedReordered:
-      reorder = true;
-      break;
-    case WalkSweepMode::kAuto:
-      if (layout != nullptr) {
-        // A pre-built permutation rides in (SubgraphCache payload): the
-        // reorder decision was made at insert time; adopt it.
-        reorder = true;
-      } else {
-        // One-shot builds never self-permute: the layout BFS + scatter
-        // cannot amortize over a single query's τ sweeps (measured ~1.0x
-        // e2e at the sizes where the reordered sweep itself wins 1.5x).
-        // Reordered plans arrive via SubgraphCache payloads, where the
-        // permutation is paid once and shared by every adopter.
-        simple = norm_ == WalkNormalization::kRowStochastic &&
-                 static_cast<size_t>(n) * sizeof(double) <=
-                     WalkKernel::SimplePlanMaxValueBytes();
-      }
-      break;
-  }
-  LT_CHECK(!simple || norm_ == WalkNormalization::kRowStochastic)
-      << "simple sweeps normalize rows on the fly (row-stochastic only)";
-  // An empty graph has nothing to permute (and n == 0 skips the CSR bind
-  // below); fall back to the identity plan so a forced kBlockedReordered
-  // on an empty seed subgraph doesn't try to materialize transitions.
-  if (n == 0) reorder = false;
-
-  // Identity-order row-stochastic plans never materialize transitions:
-  // the normalizing gather reads the raw weight strip (which a
-  // materialized sweep would read as the prob strip — same bytes moved)
-  // and folds the one divide per row into a register, so skipping the
-  // O(entries) prob build is free per sweep and saves its full cost per
-  // build. The rounding sequence is identical — w·(1/d), then ·x — so
-  // results are bit-identical (enforced by walk_kernel_test.cc).
-  norm_fly_ = !reorder && norm_ == WalkNormalization::kRowStochastic;
-  row_tile_ = simple ? 0 : RowTileForL1();
   perm_ = nullptr;
   layout_.reset();
-  prob_data_ = nullptr;
   w_ = nullptr;
   wdeg_ = nullptr;
+  prob_data_ = nullptr;
 
-  if (norm_fly_) {
-    ptr_ = gptr.data();
-    col_ = gcol.data();
-    w_ = w.data();
-    wdeg_ = g.WeightedDegrees().data();
+  if (norm_ == WalkNormalization::kRowStochastic && layout != nullptr) {
+    // Layout plan: sweep the permuted CSR the caller built (a
+    // SubgraphCache payload's, paid once at admission). The row passes
+    // normalize from the layout's permuted weights and degrees exactly as
+    // they do from the graph's own, so results stay bit-identical.
+    LT_CHECK_EQ(layout->num_nodes, n);
+    LT_CHECK_EQ(layout->num_users, g.num_users());
+    LT_CHECK_EQ(layout->col.size(), w.size());
+    layout_ = std::move(layout);
+    ptr_ = layout_->ptr.data();
+    col_ = layout_->col.data();
+    w_ = layout_->w.data();
+    wdeg_ = layout_->wdeg.data();
+    perm_ = layout_->perm.data();
     return;
   }
-
-  // ---- Bind the CSR the sweeps will walk ----
-  const WalkLayout* lay = nullptr;
-  if (reorder && n > 0) {
-    if (layout != nullptr) {
-      LT_CHECK_EQ(layout->num_nodes, n);
-      LT_CHECK_EQ(layout->num_users, g.num_users());
-      LT_CHECK_EQ(static_cast<int64_t>(layout->col.size()), entries);
-      layout_ = std::move(layout);
-      lay = layout_.get();
-    } else {
-      // One-shot large build: pay the O(nodes + entries) permutation here;
-      // it amortizes over the τ sweep iterations that follow.
-      BuildWalkLayout(g, norm_ == WalkNormalization::kRowStochastic,
-                      &own_layout_);
-      lay = &own_layout_;
-    }
-    ptr_ = lay->ptr.data();
-    col_ = lay->col.data();
-    perm_ = lay->perm.data();
-  } else {
-    ptr_ = gptr.data();
-    col_ = gcol.data();
-  }
-
-  // ---- Materialize transition values in sweep order ----
-  if (perm_ == nullptr) {
-    switch (norm_) {
-      case WalkNormalization::kRowStochastic:
-        LT_CHECK(false)
-            << "identity row-stochastic plans normalize on the fly";
-        break;
-      case WalkNormalization::kColumnStochastic: {
-        prob_.resize(w.size());
-        for (size_t k = 0; k < w.size(); ++k) {
-          const double d = g.WeightedDegree(gcol[k]);
-          prob_[k] = d > 0.0 ? w[k] / d : 0.0;
-        }
-        prob_data_ = prob_.data();
-        break;
+  LT_CHECK(layout == nullptr)
+      << "only row-stochastic sweeps take a layout";
+  ptr_ = gptr.data();
+  col_ = gcol.data();
+  switch (norm_) {
+    case WalkNormalization::kRowStochastic:
+      // Identity plan: nothing to materialize. The normalizing row passes
+      // read the raw weight strip (the same bytes a materialized prob
+      // strip would move) and fold the one divide per row into a register.
+      w_ = w.data();
+      wdeg_ = g.WeightedDegrees().data();
+      break;
+    case WalkNormalization::kColumnStochastic:
+      prob_.resize(w.size());
+      for (size_t k = 0; k < w.size(); ++k) {
+        const double d = g.WeightedDegree(gcol[k]);
+        prob_[k] = d > 0.0 ? w[k] / d : 0.0;
       }
-      case WalkNormalization::kRaw:
-        // Raw gathers read the graph's weight array as-is; no copy.
-        prob_data_ = w.data();
-        break;
-    }
-    return;
+      prob_data_ = prob_.data();
+      break;
+    case WalkNormalization::kRaw:
+      // Raw gathers read the graph's weight array as-is; no copy.
+      prob_data_ = w.data();
+      break;
   }
-
-  if (norm_ == WalkNormalization::kRowStochastic &&
-      static_cast<int64_t>(lay->row_prob.size()) == entries) {
-    // The layout carries the row-stochastic values (same rounding as the
-    // identity build; see BuildWalkLayout).
-    prob_data_ = lay->row_prob.data();
-    return;
-  }
-  // Permuted-order materialization for the remaining normalizations: same
-  // per-entry expressions as the identity branches above, written at the
-  // permuted offsets.
-  prob_.resize(w.size());
-  for (int32_t v = 0; v < n; ++v) {
-    const double row_d = g.WeightedDegree(v);
-    const double row_inv = row_d > 0.0 ? 1.0 / row_d : 0.0;
-    int64_t dst = ptr_[perm_[v]];
-    for (int64_t k = gptr[v]; k < gptr[v + 1]; ++k) {
-      double p;
-      switch (norm_) {
-        case WalkNormalization::kRowStochastic:
-          p = w[k] * row_inv;
-          break;
-        case WalkNormalization::kColumnStochastic: {
-          const double d = g.WeightedDegree(gcol[k]);
-          p = d > 0.0 ? w[k] / d : 0.0;
-          break;
-        }
-        case WalkNormalization::kRaw:
-        default:
-          p = w[k];
-          break;
-      }
-      prob_[dst++] = p;
-    }
-  }
-  prob_data_ = prob_.data();
 }
 
 void WalkKernel::CompileAbsorbingSweep(const std::vector<bool>& absorbing,
@@ -384,148 +255,6 @@ void WalkKernel::CompileAbsorbingSweepBatch(
   }
 }
 
-void WalkKernel::PrefetchRows(int32_t lo, int32_t hi) const {
-#if defined(__GNUC__) || defined(__clang__)
-  // Warm the next tile's column-index and value strips while the current
-  // tile's gathers are in flight. Bounded: past ~4 KiB per strip the
-  // lines would be evicted again before the tile is reached.
-  const WalkPlan& p = *plan_;
-  constexpr int64_t kMaxPrefetchBytes = 4096;
-  const int64_t k0 = p.ptr_[lo];
-  const int64_t span = p.ptr_[hi] - k0;
-  const int64_t col_bytes = std::min<int64_t>(
-      span * static_cast<int64_t>(sizeof(NodeId)), kMaxPrefetchBytes);
-  const char* cp = reinterpret_cast<const char*>(p.col_ + k0);
-  for (int64_t off = 0; off < col_bytes; off += 64) {
-    __builtin_prefetch(cp + off, 0, 1);
-  }
-  const double* vals = p.norm_fly_ ? p.w_ : p.prob_data_;
-  const int64_t val_bytes = std::min<int64_t>(
-      span * static_cast<int64_t>(sizeof(double)), kMaxPrefetchBytes);
-  const char* pp = reinterpret_cast<const char*>(vals + k0);
-  for (int64_t off = 0; off < val_bytes; off += 64) {
-    __builtin_prefetch(pp + off, 0, 1);
-  }
-#else
-  (void)lo;
-  (void)hi;
-#endif
-}
-
-void WalkKernel::RunAbsorbingRange(int32_t lo, int32_t hi, const double* cur,
-                                   double* nxt) const {
-  const WalkPlan& p = *plan_;
-  const double* add = add_.data();
-  const double* scale = scale_.data();
-  const double* self = self_.data();
-  if (p.row_tile_ <= 0) {
-    // Simple plan: tiny working set by construction — tiling would only
-    // add loop overhead.
-    isa_->absorbing_rows_norm(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_, add,
-                              scale, self, cur, nxt);
-    return;
-  }
-  for (int32_t b = lo; b < hi; b += p.row_tile_) {
-    const int32_t b_end = b + p.row_tile_ < hi ? b + p.row_tile_ : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + p.row_tile_ < hi ? b_end + p.row_tile_ : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_norm(b, b_end, p.ptr_, p.col_, p.w_, p.wdeg_, add,
-                                scale, self, cur, nxt);
-    } else {
-      isa_->absorbing_rows(b, b_end, p.ptr_, p.col_, p.prob_data_, add, scale,
-                           self, cur, nxt);
-    }
-  }
-}
-
-void WalkKernel::RunFusedRange(int32_t lo, int32_t hi, double* x) const {
-  const WalkPlan& p = *plan_;
-  const double* add = add_.data();
-  const double* scale = scale_.data();
-  const double* self = self_.data();
-  if (p.row_tile_ <= 0) {
-    isa_->absorbing_rows_fused_norm(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
-                                    add, scale, self, x);
-    return;
-  }
-  for (int32_t b = lo; b < hi; b += p.row_tile_) {
-    const int32_t b_end = b + p.row_tile_ < hi ? b + p.row_tile_ : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + p.row_tile_ < hi ? b_end + p.row_tile_ : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_fused_norm(b, b_end, p.ptr_, p.col_, p.w_, p.wdeg_,
-                                      add, scale, self, x);
-    } else {
-      isa_->absorbing_rows_fused(b, b_end, p.ptr_, p.col_, p.prob_data_, add,
-                                 scale, self, x);
-    }
-  }
-}
-
-void WalkKernel::RunAbsorbingRangeBatch(int32_t lo, int32_t hi,
-                                        const double* cur, double* nxt) const {
-  const WalkPlan& p = *plan_;
-  const int32_t width = batch_width_;
-  const double* add = badd_.data();
-  const double* scale = bscale_.data();
-  const double* self = bself_.data();
-  if (p.row_tile_ <= 0) {
-    isa_->absorbing_rows_norm_batch(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
-                                    add, scale, self, cur, nxt, width);
-    return;
-  }
-  // Each row now streams width lanes of values + coefficients; shrink the
-  // tile so the dense streams still fit the L1 budget (pure performance
-  // knob — tiling never changes the per-row results).
-  const int32_t tile = std::max<int32_t>(256, p.row_tile_ / width);
-  for (int32_t b = lo; b < hi; b += tile) {
-    const int32_t b_end = b + tile < hi ? b + tile : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + tile < hi ? b_end + tile : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_norm_batch(b, b_end, p.ptr_, p.col_, p.w_,
-                                      p.wdeg_, add, scale, self, cur, nxt,
-                                      width);
-    } else {
-      isa_->absorbing_rows_batch(b, b_end, p.ptr_, p.col_, p.prob_data_, add,
-                                 scale, self, cur, nxt, width);
-    }
-  }
-}
-
-void WalkKernel::RunFusedRangeBatch(int32_t lo, int32_t hi, double* x) const {
-  const WalkPlan& p = *plan_;
-  const int32_t width = batch_width_;
-  const double* add = badd_.data();
-  const double* scale = bscale_.data();
-  const double* self = bself_.data();
-  if (p.row_tile_ <= 0) {
-    isa_->absorbing_rows_fused_norm_batch(lo, hi, p.ptr_, p.col_, p.w_,
-                                          p.wdeg_, add, scale, self, x, width);
-    return;
-  }
-  const int32_t tile = std::max<int32_t>(256, p.row_tile_ / width);
-  for (int32_t b = lo; b < hi; b += tile) {
-    const int32_t b_end = b + tile < hi ? b + tile : hi;
-    if (b_end < hi) {
-      PrefetchRows(b_end, b_end + tile < hi ? b_end + tile : hi);
-    }
-    if (p.norm_fly_) {
-      isa_->absorbing_rows_fused_norm_batch(b, b_end, p.ptr_, p.col_, p.w_,
-                                            p.wdeg_, add, scale, self, x,
-                                            width);
-    } else {
-      isa_->absorbing_rows_fused_batch(b, b_end, p.ptr_, p.col_,
-                                       p.prob_data_, add, scale, self, x,
-                                       width);
-    }
-  }
-}
-
 void WalkKernel::SweepTruncated(int iterations, std::vector<double>* value,
                                 std::vector<double>* scratch) const {
   LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
@@ -542,7 +271,7 @@ void WalkKernel::SweepTruncated(int iterations, std::vector<double>* value,
     cur = value->data();
     nxt = scratch->data();
   } else {
-    // Reordered plan: sweep in permuted space, read out through the
+    // Layout plan: sweep in permuted space, read out through the
     // permutation below. V_0 ≡ 0 needs no seed scatter.
     pval_.assign(n, 0.0);
     pscratch_.assign(n, 0.0);
@@ -550,7 +279,9 @@ void WalkKernel::SweepTruncated(int iterations, std::vector<double>* value,
     nxt = pscratch_.data();
   }
   for (int t = 0; t < iterations; ++t) {
-    RunAbsorbingRange(0, n, cur, nxt);
+    isa_->absorbing_rows_norm(0, n, p.ptr_, p.col_, p.w_, p.wdeg_,
+                              add_.data(), scale_.data(), self_.data(), cur,
+                              nxt);
     double* tmp = cur;
     cur = nxt;
     nxt = tmp;
@@ -591,14 +322,18 @@ void WalkKernel::SweepTruncatedItemValues(int iterations,
     const int32_t hi = item_side ? n : num_users;
     if (t == 1) {
       // The chain's first step advances its side by a single DP iteration.
-      RunAbsorbingRange(lo, hi, x, x);
+      isa_->absorbing_rows_norm(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
+                                add_.data(), scale_.data(), self_.data(), x,
+                                x);
     } else {
       // Every later step advances its side by two DP iterations. Ordinary
       // rows never reference the skipped intermediate, but isolated rows
       // (self = 1) accumulate cost on both: the trailing self·add term
       // applies the second addition in the same order the full sweep
       // would, keeping them bit-identical to it.
-      RunFusedRange(lo, hi, x);
+      isa_->absorbing_rows_fused_norm(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
+                                      add_.data(), scale_.data(),
+                                      self_.data(), x);
     }
   }
   if (p.perm_ != nullptr) {
@@ -637,9 +372,14 @@ void WalkKernel::SweepTruncatedItemValuesBatch(
     const int32_t lo = item_side ? num_users : 0;
     const int32_t hi = item_side ? n : num_users;
     if (t == 1) {
-      RunAbsorbingRangeBatch(lo, hi, x, x);
+      isa_->absorbing_rows_norm_batch(lo, hi, p.ptr_, p.col_, p.w_, p.wdeg_,
+                                      badd_.data(), bscale_.data(),
+                                      bself_.data(), x, x, width);
     } else {
-      RunFusedRangeBatch(lo, hi, x);
+      isa_->absorbing_rows_fused_norm_batch(lo, hi, p.ptr_, p.col_, p.w_,
+                                            p.wdeg_, badd_.data(),
+                                            bscale_.data(), bself_.data(), x,
+                                            width);
     }
   }
   if (p.perm_ != nullptr) {
@@ -656,7 +396,7 @@ void WalkKernel::Apply(double alpha, const double* x, double beta,
                        const double* restart, double* y) const {
   LT_CHECK(plan_ != nullptr) << "BuildTransitions/AdoptPlan must run first";
   const WalkPlan& p = *plan_;
-  LT_CHECK(!p.norm_fly_)
+  LT_CHECK(p.norm_ != Normalization::kRowStochastic)
       << "Apply needs materialized transitions; no caller applies "
          "row-stochastic transitions, see walk_kernel.h";
   const int32_t n = p.num_nodes_;
@@ -667,12 +407,10 @@ void WalkKernel::Apply(double alpha, const double* x, double beta,
   // under half the entries, push from just those rows instead. The push
   // re-derives the per-row normalization from the raw weights (the
   // stored prob array is column-normalized for pulls), so push and pull
-  // agree to rounding, and the branch is a pure function of x. It runs
-  // in original id space off the graph's own CSR, independent of the
-  // sweep plan's layout.
-  if (p.norm_ != Normalization::kRowStochastic && n > 0) {
-    const int64_t* gp = p.graph_->RowPointers().data();
-    const NodeId* gc = p.graph_->FlatNeighbors().data();
+  // agree to rounding, and the branch is a pure function of x.
+  if (n > 0) {
+    const int64_t* gp = p.ptr_;
+    const NodeId* gc = p.col_;
     const int64_t total_entries = gp[n];
     int64_t nonzero_entries = 0;
     for (int32_t v = 0; v < n; ++v) {
@@ -705,33 +443,8 @@ void WalkKernel::Apply(double alpha, const double* x, double beta,
       return;
     }
   }
-  const double* in = x;
-  const double* rst = restart;
-  double* out = y;
-  if (p.perm_ != nullptr && n > 0) {
-    // Permute the operands into sweep space, pull there, scatter back.
-    px_.resize(n);
-    pval_.resize(n);
-    for (int32_t v = 0; v < n; ++v) px_[p.perm_[v]] = x[v];
-    in = px_.data();
-    out = pval_.data();
-    if (restart != nullptr) {
-      pscratch_.resize(n);
-      for (int32_t v = 0; v < n; ++v) pscratch_[p.perm_[v]] = restart[v];
-      rst = pscratch_.data();
-    }
-  }
-  for (int32_t b = 0; b < n; b += p.row_tile_) {
-    const int32_t b_end = b + p.row_tile_ < n ? b + p.row_tile_ : n;
-    if (b_end < n) {
-      PrefetchRows(b_end, b_end + p.row_tile_ < n ? b_end + p.row_tile_ : n);
-    }
-    isa_->apply_rows(b, b_end, p.ptr_, p.col_, p.prob_data_, alpha, in, beta,
-                     rst, out);
-  }
-  if (p.perm_ != nullptr && n > 0) {
-    for (int32_t v = 0; v < n; ++v) y[v] = pval_[p.perm_[v]];
-  }
+  isa_->apply_rows(0, n, p.ptr_, p.col_, p.prob_data_, alpha, x, beta,
+                   restart, y);
 }
 
 }  // namespace longtail

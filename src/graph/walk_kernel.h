@@ -10,11 +10,9 @@
 // retires those loops, and is itself split along the immutable/mutable
 // seam:
 //
-//  * WalkPlan is the *immutable, shareable* half: the normalized transition
-//    CSR (or the on-the-fly-normalization binding that skips materializing
-//    it), the execution-plan selection from the probed cache geometry, and
-//    the optional WalkLayout permutation. A plan is built once per graph —
-//    at SubgraphCache admission for cached subgraphs, at Fit/LoadModel for
+//  * WalkPlan is the *immutable, shareable* half: the arrays one graph's
+//    sweeps read, bound once. A plan is built once per graph — at
+//    SubgraphCache admission for cached subgraphs, at Fit/LoadModel for
 //    the PPR/Katz global graphs — and shared by shared_ptr across any
 //    number of concurrently sweeping workers. After Build it is never
 //    mutated, so N pool threads can sweep one plan at once.
@@ -26,6 +24,21 @@
 //    cold path, capacity reused across queries) or adopt a shared one
 //    (AdoptPlan — the warm path, zero per-query O(E)/O(V) setup).
 //
+// The caller's input picks the plan; there is no cost probe and no knob:
+//  * identity plan — no layout passed. The absorbing sweeps read the
+//    graph's own CSR, flat and untiled. This is what serving runs for
+//    every subgraph below the cache's reorder threshold.
+//  * layout plan — a WalkLayout passed (in practice the one a
+//    SubgraphCache payload carries past the threshold). The sweeps read
+//    the layout's permuted CSR; coefficients are scattered and results
+//    gathered back through the permutation.
+// Both plans run the same four absorbing row passes, which normalize each
+// row on the fly: inv = 1/wdeg[v], then (w[k]·inv)·x[col[k]] per edge. The
+// layout carries permuted raw weights and weighted degrees, so both plans
+// form the same products in the same order and are bit-identical. PPR and
+// Katz (column-stochastic / raw transitions) never pass a layout; their
+// plan materializes the transition values once and Apply pulls over them.
+//
 //  * CompileAbsorbingSweep folds per-query absorbing flags, isolated
 //    nodes, and per-node costs into three dense coefficient vectors so the
 //    sweep's inner loop is branch-free:
@@ -33,28 +46,28 @@
 //    (absorbing: add=scale=self=0 pins the value at exactly 0; isolated
 //    transient: scale=0, self=1 accumulates cost forever; ordinary rows:
 //    scale=1, self=0).
-//  * SweepTruncated / Apply run the sweep as a blocked, 4-way-unrolled
-//    gather over the transition CSR. The gather is *runtime-dispatched*:
-//    one portable binary carries both a scalar flavour and an AVX2 flavour
-//    (hardware vgatherdpd, compiled in its own -mavx2 translation unit),
-//    and a one-time CPUID probe at kernel construction picks the table —
-//    no recompilation per host. The two flavours are bit-identical (same
+//  * SweepTruncated / Apply run the sweep as a 4-way-unrolled gather over
+//    the CSR. The gather is *runtime-dispatched*: one portable binary
+//    carries both a scalar flavour and an AVX2 flavour (hardware
+//    vgatherdpd, compiled in its own -mavx2 translation unit), and a
+//    one-time CPUID probe at kernel construction picks the table — no
+//    recompilation per host. The two flavours are bit-identical (same
 //    per-lane accumulation order and reduction tree, FP contraction off in
 //    the AVX2 TU), enforced by tests/walk_kernel_test.cc. See
-//    docs/KERNELS.md for the layout, the blocking/unroll parameters and
-//    how to re-tune them.
+//    docs/KERNELS.md for the layout and the row passes.
 //
 // Numerical contract: results agree with the retained reference loop
 // (AbsorbingValueTruncatedReference in markov.h) to relative tolerance
-// ~1e-13 per iteration — pre-normalization changes (Σ w·v)/d into
-// Σ (w/d)·v and the unroll changes the summation tree, so bit-identity
+// ~1e-13 per iteration — normalization changes (Σ w·v)/d into
+// Σ (w·(1/d))·v and the unroll changes the summation tree, so bit-identity
 // with the *old* loop is impossible; what the system guarantees instead is
 // that every production path (single-user, batch at any thread count,
 // cache-hit on a shared plan, checkpoint-restored) runs the same kernel
-// and is therefore bit-identical across those paths. A plan makes the
-// same decisions Build-by-kernel would for the same (graph, layout)
-// inputs, so adopted and privately built plans sweep identically.
-// tests/walk_kernel_test.cc and tests/warm_plan_test.cc enforce this.
+// and is therefore bit-identical across those paths. A plan built for the
+// same (graph, layout) inputs binds the same arrays whether the kernel or
+// the cache builds it, so adopted and privately built plans sweep
+// identically. tests/walk_kernel_test.cc and tests/warm_plan_test.cc
+// enforce this.
 #ifndef LONGTAIL_GRAPH_WALK_KERNEL_H_
 #define LONGTAIL_GRAPH_WALK_KERNEL_H_
 
@@ -88,30 +101,10 @@ enum class WalkNormalization {
   kRaw,
 };
 
-/// The execution plan WalkPlan::Build picks per graph shape (one-time
-/// cost probe against the machine's measured cache geometry; see
-/// docs/KERNELS.md for the thresholds):
-///  * kSimple — flat reference-style loop, no row tiling. Wins while
-///    one value vector (the window row gathers read from) still fits in
-///    L2, where tile bookkeeping is pure overhead. Row-stochastic only.
-///  * kBlocked — L1-tiled row pass with next-tile prefetch, identity
-///    node order; wins once the value vector exceeds L2.
-/// Both identity-order plans normalize row-stochastic transitions on the
-/// fly from the raw weights — the O(entries) transition materialization
-/// is skipped entirely, with the same per-entry rounding sequence (w·(1/d)
-/// then ·x), so results are bit-identical to a materialized sweep. Other
-/// normalizations (PPR/Katz) materialize once and amortize over many
-/// Apply calls.
-///  * kBlockedReordered — kBlocked over a WalkLayout-permuted CSR
-///    (adopted from the SubgraphCache or built here); seeds are injected
-///    and values read back through the permutation, outputs bit-identical
-///    in original id space.
-/// kAuto is only a ForcePlanForTesting value: restore the cost probe.
-enum class WalkSweepMode { kAuto, kSimple, kBlocked, kBlockedReordered };
-
-/// The immutable half of the walk kernel: one graph's normalized transition
-/// CSR (or on-the-fly binding), the sweep-plan selection, and the optional
-/// layout permutation. Built exactly once per graph and shared by
+/// The immutable half of the walk kernel: the CSR arrays one graph's sweeps
+/// read — the graph's own (identity plan) or an adopted WalkLayout's
+/// permuted ones (layout plan) — plus, for PPR/Katz, the materialized
+/// transition values. Built exactly once per graph and shared by
 /// shared_ptr — a SubgraphCache payload carries the plan for its subgraph,
 /// PPR/Katz carry one for their fitted global graph. Immutable after
 /// Build(), so any number of WalkKernels (one per worker, each with private
@@ -127,17 +120,19 @@ class WalkPlan {
   WalkPlan(const WalkPlan&) = delete;
   WalkPlan& operator=(const WalkPlan&) = delete;
 
-  /// Compiles `g` into transition bindings and picks the sweep plan.
-  /// Identical decision procedure to the kernel's own BuildTransitions:
-  /// passing the same (graph, norm, layout) here and there yields plans
-  /// that sweep bit-identically. `forced` pins the plan for tests/benches
-  /// (kAuto = cost probe). Reuses this object's buffer capacity, so a
-  /// kernel-owned plan rebuilt per cold query performs no steady-state
-  /// allocation. Rows with weighted degree <= 0 get all-zero transition
-  /// values (compiled as isolated by CompileAbsorbingSweep).
+  /// Binds `g` for sweeping. kRowStochastic plans take the layout plan
+  /// when `layout` (a WalkLayout of `g`) is passed and the identity plan
+  /// otherwise; both normalize on the fly and materialize nothing. The
+  /// other normalizations take no layout (checked) and materialize their
+  /// transition values for Apply. Same procedure as the kernel's own
+  /// BuildTransitions, so passing the same (graph, norm, layout) here and
+  /// there yields plans that sweep bit-identically. Reuses this object's
+  /// buffer capacity, so a kernel-owned plan rebuilt per cold query
+  /// performs no steady-state allocation. Rows with weighted degree <= 0
+  /// get all-zero transition values (compiled as isolated by
+  /// CompileAbsorbingSweep).
   void Build(const BipartiteGraph& g, WalkNormalization norm,
-             std::shared_ptr<const WalkLayout> layout = nullptr,
-             WalkSweepMode forced = WalkSweepMode::kAuto);
+             std::shared_ptr<const WalkLayout> layout = nullptr);
 
   /// True once Build has run.
   bool built() const { return graph_ != nullptr; }
@@ -145,15 +140,15 @@ class WalkPlan {
   const BipartiteGraph* graph() const { return graph_; }
   WalkNormalization normalization() const { return norm_; }
   int32_t num_nodes() const { return num_nodes_; }
-  /// "simple", "blocked" or "blocked_reordered"; bench/introspection only.
-  const char* sweep_strategy() const;
-  /// True when the plan sweeps a permuted CSR (adopted or privately built).
-  bool reordered() const { return perm_ != nullptr; }
-  /// Rows per L1 tile of the blocked row pass (0 in simple mode).
-  int32_t row_tile() const { return row_tile_; }
+  /// "identity" or "layout"; bench/introspection only.
+  const char* sweep_strategy() const {
+    return reordered() ? "layout" : "identity";
+  }
+  /// True when the plan sweeps an adopted WalkLayout's permuted CSR.
+  bool reordered() const { return layout_ != nullptr; }
   /// Heap bytes this plan owns beyond the graph/layout it points into
-  /// (materialized transition values + any privately built layout). The
-  /// SubgraphCache adds this to its resident-byte accounting.
+  /// (materialized PPR/Katz transition values, if any). The SubgraphCache
+  /// adds this to its resident-byte accounting.
   size_t OwnedBytes() const;
 
  private:
@@ -162,32 +157,24 @@ class WalkPlan {
   const BipartiteGraph* graph_ = nullptr;
   WalkNormalization norm_ = WalkNormalization::kRowStochastic;
   int32_t num_nodes_ = 0;
-  /// True when the plan normalizes rows on the fly from w_/wdeg_ instead
-  /// of a materialized transition array (kRowStochastic, identity order —
-  /// both the simple and the blocked plan).
-  bool norm_fly_ = false;
-  /// Rows per L1 tile of the blocked row pass (0 = flat simple loop).
-  int32_t row_tile_ = 0;
-  /// The CSR the sweeps walk: the graph's own arrays (identity order) or a
-  /// WalkLayout's permuted arrays.
+  /// The CSR the sweeps walk: the graph's own arrays (identity plan) or a
+  /// WalkLayout's permuted arrays (layout plan).
   const int64_t* ptr_ = nullptr;
   const NodeId* col_ = nullptr;
-  /// Materialized transition values parallel to col_ (null when norm_fly_):
-  /// layout row_prob, prob_.data(), or the graph's raw weights.
-  const double* prob_data_ = nullptr;
-  /// Raw weights + weighted degrees for the normalizing row passes.
+  /// Raw weights + weighted degrees the absorbing row passes normalize
+  /// from, in sweep order (kRowStochastic only).
   const double* w_ = nullptr;
   const double* wdeg_ = nullptr;
-  /// Original local id → sweep-space row (null ⇔ identity layout).
+  /// Materialized transition values parallel to col_ for Apply:
+  /// prob_.data() (kColumnStochastic) or the graph's raw weights (kRaw).
+  const double* prob_data_ = nullptr;
+  /// Original local id → sweep-space row (null ⇔ identity plan).
   /// CompileAbsorbingSweep scatters coefficients through it; sweeps gather
   /// outputs back through it.
   const int32_t* perm_ = nullptr;
   /// Keeps an adopted layout alive for the lifetime of the plan.
   std::shared_ptr<const WalkLayout> layout_;
-  /// Privately built layout (large one-shot builds); capacity reused.
-  WalkLayout own_layout_;
-  /// Normalized transition values in sweep order, parallel to col_ (unused
-  /// when the layout supplies row_prob or the plan normalizes on the fly).
+  /// Column-stochastic transition values, parallel to col_.
   std::vector<double> prob_;
 };
 
@@ -200,7 +187,6 @@ class WalkPlan {
 class WalkKernel {
  public:
   using Normalization = WalkNormalization;
-  using SweepMode = WalkSweepMode;
 
   /// Hard ceiling on the fused multi-query sweep width (mirrors the ISA
   /// tables' per-row stack scratch; see walk_kernel_isa.h). Callers chunk
@@ -233,12 +219,12 @@ class WalkKernel {
   /// kernel's use and must not be rebuilt in between.
   ///
   /// `layout` is an optional pre-built permutation of `g` (typically the
-  /// one riding on a SubgraphCache payload): passing it makes the kernel
-  /// sweep the permuted CSR without re-permuting. When absent, auto plans
-  /// stay in identity order (a one-shot query cannot amortize the
-  /// permutation build; only ForcePlanForTesting(kBlockedReordered)
-  /// self-builds one). Either way every public input/output stays in
-  /// original local id space, bit-identical to the identity layout.
+  /// one riding on a SubgraphCache payload): passing it picks the layout
+  /// plan, which sweeps the permuted CSR without re-permuting. When absent
+  /// the plan is the identity plan — a one-shot query cannot amortize a
+  /// permutation build, so the kernel never builds one. Either way every
+  /// public input/output stays in original local id space, bit-identical
+  /// across the two plans.
   void BuildTransitions(const BipartiteGraph& g, Normalization norm,
                         std::shared_ptr<const WalkLayout> layout = nullptr);
 
@@ -262,25 +248,13 @@ class WalkKernel {
     return plan_ != nullptr ? plan_->norm_ : Normalization::kRowStochastic;
   }
 
-  /// The bound plan's strategy ("simple", "blocked" or "blocked_reordered");
-  /// bench/introspection only.
-  const char* sweep_strategy() const;
-  /// True when the bound plan sweeps a permuted CSR (adopted or private).
+  /// The bound plan's strategy ("identity" or "layout"); bench/
+  /// introspection only.
+  const char* sweep_strategy() const {
+    return plan_ != nullptr ? plan_->sweep_strategy() : "unbound";
+  }
+  /// True when the bound plan sweeps an adopted layout's permuted CSR.
   bool reordered() const { return plan_ != nullptr && plan_->reordered(); }
-  /// Rows per L1 tile of the blocked row pass (0 in simple mode).
-  int32_t row_tile() const { return plan_ != nullptr ? plan_->row_tile_ : 0; }
-  /// Test/bench hook: pin the plan for subsequent BuildTransitions calls
-  /// (kAuto restores the cost probe). kSimple requires kRowStochastic;
-  /// kBlockedReordered builds a private layout when none is passed. Has no
-  /// effect on AdoptPlan — adopted plans were decided at build time.
-  void ForcePlanForTesting(SweepMode mode) { forced_plan_ = mode; }
-
-  /// Plan constants on this machine (bench/introspection): the
-  /// value-vector ceiling under which the cost probe picks the simple
-  /// plan, and the rows-per-L1-tile the blocked plans sweep with. Derived
-  /// from the measured cache geometry (walk_layout.h) once per process.
-  static size_t SimplePlanMaxValueBytes();
-  static int32_t BlockedPlanRowTile();
 
   /// Compiles one query's absorbing flags and per-node immediate costs
   /// into the branch-free coefficient vectors. Requires kRowStochastic
@@ -362,7 +336,8 @@ class WalkKernel {
   /// (`restart == nullptr` drops the second term). With kColumnStochastic
   /// transitions this is y = alpha·Pᵀx + beta·r — the PPR update; with
   /// kRaw it is y = alpha·A·x — the Katz frontier push. `x` and `y` must
-  /// have num_nodes elements and must not alias.
+  /// have num_nodes elements and must not alias. Requires a
+  /// kColumnStochastic or kRaw plan (checked), which never has a layout.
   ///
   /// Sparse inputs stay cheap: when the rows with x != 0 carry less than
   /// half the graph's adjacency entries (the early Katz frontier, the
@@ -372,31 +347,13 @@ class WalkKernel {
   /// gathering all edges. The two execution paths agree to the kernel's
   /// ~1e-13 parity tolerance (not bit-identically), and the choice is a
   /// deterministic function of x, so repeated runs are reproducible.
-  /// kRowStochastic transitions always take the dense pull (no Apply
-  /// caller uses them).
   void Apply(double alpha, const double* x, double beta,
              const double* restart, double* y) const;
 
  private:
-  /// Tiled absorbing pass over sweep-space rows [lo, hi): simple mode
-  /// dispatches the normalizing rows once, blocked modes walk L1-sized row
-  /// tiles and prefetch the next tile's index/value strips.
-  void RunAbsorbingRange(int32_t lo, int32_t hi, const double* cur,
-                         double* nxt) const;
-  /// Same for the ranking sweep's in-place double-step pass.
-  void RunFusedRange(int32_t lo, int32_t hi, double* x) const;
-  /// Multi-query flavours over the K-strided coefficient blocks; the row
-  /// tile shrinks by the width so the dense streams still fit L1.
-  void RunAbsorbingRangeBatch(int32_t lo, int32_t hi, const double* cur,
-                              double* nxt) const;
-  void RunFusedRangeBatch(int32_t lo, int32_t hi, double* x) const;
-  /// Prefetches the col/prob strips of sweep-space rows [lo, hi).
-  void PrefetchRows(int32_t lo, int32_t hi) const;
-
   /// The instruction-set flavour every sweep dispatches through; bound at
   /// construction, never null.
   const internal::WalkKernelIsa* isa_;
-  SweepMode forced_plan_ = SweepMode::kAuto;
 
   /// The bound plan: &own_plan_ after BuildTransitions, adopted_.get()
   /// after AdoptPlan, null before either.
@@ -418,11 +375,10 @@ class WalkKernel {
   std::vector<double> badd_;
   std::vector<double> bscale_;
   std::vector<double> bself_;
-  /// Permuted-space sweep buffers (reordered plans only). Mutable because
+  /// Permuted-space sweep buffers (layout plans only). Mutable because
   /// sweeps are logically const — the kernel is single-owner per worker.
   mutable std::vector<double> pval_;
   mutable std::vector<double> pscratch_;
-  mutable std::vector<double> px_;
   /// Permuted-space strided value block for the fused batch sweep.
   mutable std::vector<double> pblock_;
 };

@@ -27,8 +27,14 @@ namespace internal {
 inline constexpr int32_t kMaxFusedWidth = 32;
 
 /// One instruction-set flavour of the kernel's hot row passes. All passes
-/// process local node rows [lo, hi) of a transition CSR (`ptr`, `col`,
-/// `prob`); callers own blocking and iteration structure.
+/// process rows [lo, hi) of a weighted CSR (`ptr`, `col`, and per-entry
+/// values); callers own the iteration structure.
+///
+/// The absorbing passes form row-stochastic transitions on the fly from the
+/// raw weights `w` and the row's weighted degree `wdeg[v]`: each row
+/// derives inv = 1/wdeg[v] (0 for an isolated row) and gathers
+/// (w[k]·inv)·x[col[k]]. The identity plan points them at the graph's own
+/// arrays and the layout plan at a WalkLayout's permuted ones.
 ///
 /// Every absorbing pass skips the gather of rows with scale == self == 0
 /// (absorbing rows) and writes exactly +0.0 — the value the full
@@ -39,46 +45,30 @@ inline constexpr int32_t kMaxFusedWidth = 32;
 struct WalkKernelIsa {
   const char* name;  // "generic" or "avx2"
 
-  /// Absorbing-sweep pass: nxt[v] = (add[v] + scale[v]·⟨prob_row(v), cur⟩)
-  /// + self[v]·cur[v]. `cur == nxt` is allowed when the gathered columns
-  /// never overlap [lo, hi) (the bipartite ranking sweep).
-  void (*absorbing_rows)(int32_t lo, int32_t hi, const int64_t* ptr,
-                         const NodeId* col, const double* prob,
-                         const double* add, const double* scale,
-                         const double* self, const double* cur, double* nxt);
-
-  /// In-place double-step pass of the ranking sweep: ordinary rows advance
-  /// one gather, isolated rows (self = 1) accumulate their cost twice in
-  /// the same order the full sweep would:
-  /// x[v] = ((add[v] + scale[v]·⟨prob_row(v), x⟩) + self[v]·x[v])
-  ///        + self[v]·add[v].
-  void (*absorbing_rows_fused)(int32_t lo, int32_t hi, const int64_t* ptr,
-                               const NodeId* col, const double* prob,
-                               const double* add, const double* scale,
-                               const double* self, double* x);
-
-  /// Normalizing flavour of absorbing_rows for the adaptive plan's
-  /// "simple" mode: no materialized prob array — each row derives
-  /// inv = 1/wdeg[v] and gathers (w[k]·inv)·cur[col[k]], the exact
-  /// products BuildTransitions would have stored, so results stay
-  /// bit-identical to the blocked path while skipping the O(entries)
-  /// transition build that dominates tiny subgraphs.
+  /// Absorbing-sweep pass: nxt[v] = (add[v] + scale[v]·⟨p_row(v), cur⟩)
+  /// + self[v]·cur[v], with p_row(v)[k] = w[k]·(1/wdeg[v]). `cur == nxt`
+  /// is allowed when the gathered columns never overlap [lo, hi) (the
+  /// bipartite ranking sweep).
   void (*absorbing_rows_norm)(int32_t lo, int32_t hi, const int64_t* ptr,
                               const NodeId* col, const double* w,
                               const double* wdeg, const double* add,
                               const double* scale, const double* self,
                               const double* cur, double* nxt);
 
-  /// Normalizing flavour of absorbing_rows_fused (same contract).
+  /// In-place double-step pass of the ranking sweep: ordinary rows advance
+  /// one gather, isolated rows (self = 1) accumulate their cost twice in
+  /// the same order the full sweep would:
+  /// x[v] = ((add[v] + scale[v]·⟨p_row(v), x⟩) + self[v]·x[v])
+  ///        + self[v]·add[v].
   void (*absorbing_rows_fused_norm)(int32_t lo, int32_t hi,
                                     const int64_t* ptr, const NodeId* col,
                                     const double* w, const double* wdeg,
                                     const double* add, const double* scale,
                                     const double* self, double* x);
 
-  /// Power-iteration pass: y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v]
-  /// (`restart == nullptr` drops the second term). `x` and `y` must not
-  /// alias.
+  /// Power-iteration pass over materialized transition values:
+  /// y[v] = alpha·⟨prob_row(v), x⟩ + beta·restart[v] (`restart == nullptr`
+  /// drops the second term). `x` and `y` must not alias.
   void (*apply_rows)(int32_t lo, int32_t hi, const int64_t* ptr,
                      const NodeId* col, const double* prob, double alpha,
                      const double* x, double beta, const double* restart,
@@ -94,20 +84,6 @@ struct WalkKernelIsa {
   /// lane skip their gather entirely; rows absorbing in some lanes gather
   /// once and overwrite the absorbing lanes with the constant +0.0 the
   /// sequential pass writes. `width` must be in [1, kMaxFusedWidth].
-  void (*absorbing_rows_batch)(int32_t lo, int32_t hi, const int64_t* ptr,
-                               const NodeId* col, const double* prob,
-                               const double* add, const double* scale,
-                               const double* self, const double* cur,
-                               double* nxt, int32_t width);
-
-  /// Batch flavour of absorbing_rows_fused (in-place double step).
-  void (*absorbing_rows_fused_batch)(int32_t lo, int32_t hi,
-                                     const int64_t* ptr, const NodeId* col,
-                                     const double* prob, const double* add,
-                                     const double* scale, const double* self,
-                                     double* x, int32_t width);
-
-  /// Batch flavour of absorbing_rows_norm (on-the-fly normalization).
   void (*absorbing_rows_norm_batch)(int32_t lo, int32_t hi,
                                     const int64_t* ptr, const NodeId* col,
                                     const double* w, const double* wdeg,
@@ -115,7 +91,7 @@ struct WalkKernelIsa {
                                     const double* self, const double* cur,
                                     double* nxt, int32_t width);
 
-  /// Batch flavour of absorbing_rows_fused_norm.
+  /// Batch flavour of absorbing_rows_fused_norm (in-place double step).
   void (*absorbing_rows_fused_norm_batch)(
       int32_t lo, int32_t hi, const int64_t* ptr, const NodeId* col,
       const double* w, const double* wdeg, const double* add,

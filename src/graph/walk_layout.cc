@@ -48,8 +48,7 @@ const CacheGeometry& ProbeCacheGeometry() {
   return geometry;
 }
 
-void BuildWalkLayout(const BipartiteGraph& g, bool with_row_prob,
-                     WalkLayout* out) {
+void BuildWalkLayout(const BipartiteGraph& g, WalkLayout* out) {
   const int32_t n = g.num_nodes();
   const auto gptr = g.RowPointers();
   const auto gcol = g.FlatNeighbors();
@@ -61,11 +60,8 @@ void BuildWalkLayout(const BipartiteGraph& g, bool with_row_prob,
   out->perm.assign(n, -1);
   out->ptr.assign(static_cast<size_t>(n) + 1, 0);
   out->col.resize(entries);
-  if (with_row_prob) {
-    out->row_prob.resize(entries);
-  } else {
-    out->row_prob.clear();
-  }
+  out->w.resize(entries);
+  out->wdeg.resize(n);
   if (n == 0) return;
 
   // Visit order: degree-bucketed BFS. Candidate component starts are
@@ -119,30 +115,22 @@ void BuildWalkLayout(const BipartiteGraph& g, bool with_row_prob,
   LT_CHECK_EQ(next_user, num_users);
   LT_CHECK_EQ(next_item, n);
 
-  // Permuted CSR: row perm[v] receives row v's entries, original edge
-  // order, columns renamed. Per-row original order is what makes sweeps
-  // over this CSR bit-identical to the identity layout.
+  // Permuted CSR: row perm[v] receives row v's entries and weighted
+  // degree, original edge order, columns renamed. Per-row original order
+  // is what makes sweeps over this CSR bit-identical to the identity
+  // layout.
   const std::vector<int32_t>& perm = out->perm;
+  const auto gwdeg = g.WeightedDegrees();
   for (int32_t v = 0; v < n; ++v) {
     out->ptr[perm[v] + 1] = gptr[v + 1] - gptr[v];
+    out->wdeg[perm[v]] = gwdeg[v];
   }
   for (int32_t p = 0; p < n; ++p) out->ptr[p + 1] += out->ptr[p];
   for (int32_t v = 0; v < n; ++v) {
     int64_t dst = out->ptr[perm[v]];
-    for (int64_t k = gptr[v]; k < gptr[v + 1]; ++k) {
-      out->col[dst++] = perm[gcol[k]];
-    }
-  }
-  if (with_row_prob) {
-    for (int32_t v = 0; v < n; ++v) {
-      const double d = g.WeightedDegree(v);
-      // Same expression as BuildTransitions(kRowStochastic): one divide
-      // per row, then a multiply per edge — identical rounding.
-      const double inv = d > 0.0 ? 1.0 / d : 0.0;
-      int64_t dst = out->ptr[perm[v]];
-      for (int64_t k = gptr[v]; k < gptr[v + 1]; ++k) {
-        out->row_prob[dst++] = gw[k] * inv;
-      }
+    for (int64_t k = gptr[v]; k < gptr[v + 1]; ++k, ++dst) {
+      out->col[dst] = perm[gcol[k]];
+      out->w[dst] = gw[k];
     }
   }
 }
@@ -159,7 +147,7 @@ std::shared_ptr<const WalkLayout> BuildWalkLayoutIfBeneficial(
   const int64_t entries = n > 0 ? g.RowPointers()[n] : 0;
   if (!WalkLayoutReorderBeneficial(n, entries)) return nullptr;
   auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
+  BuildWalkLayout(g, layout.get());
   return layout;
 }
 

@@ -5,28 +5,30 @@
 // is decent, but on large subgraphs (value vector past L2) the gathered
 // addresses still span the whole vector and every edge is a potential cache
 // miss. A WalkLayout is a locality-improving *node permutation* of the
-// subgraph plus the transition CSR rebuilt in permuted order: a
-// degree-bucketed BFS (Cuthill–McKee-style) renumbering clusters each row's
-// neighbors into a narrow index band, so the sweep's gathers hit a window
-// of the value vector that stays cache-resident.
+// subgraph plus its CSR rebuilt in permuted order: a degree-bucketed BFS
+// (Cuthill–McKee-style) renumbering clusters each row's neighbors into a
+// narrow index band, so the sweep's gathers hit a window of the value
+// vector that stays cache-resident.
 //
 // The permutation is *bipartite-aware*: users keep ids [0, num_users) and
 // items [num_users, num_nodes), each side numbered in the shared BFS visit
 // order. That preserves the side boundary the ranking sweep alternates
 // over, so every sweep flavour runs unchanged on the permuted CSR.
 //
-// Bit-identity contract: the permuted row perm[v] carries row v's edges in
-// their ORIGINAL order with columns renamed through perm, and row_prob is
-// computed with the exact expression BuildTransitions uses (one 1/d per
-// row, then w[k]·inv per edge). A sweep over the permuted CSR therefore
-// performs the same per-row multiply/add sequence as the identity layout,
-// and scattering the result back through perm reproduces the identity
-// output bit for bit (tests/walk_kernel_test.cc pins this).
+// A layout carries the raw edge weights and the weighted degrees in
+// permuted order, which is exactly what the kernel's normalizing row
+// passes read: the layout plan and the identity plan run the same passes
+// over different arrays. Bit-identity contract: the permuted row perm[v]
+// carries row v's edges in their ORIGINAL order with columns renamed
+// through perm, and its weighted degree is row v's, so the pass forms the
+// same (w·(1/d))·x products in the same order; scattering the result back
+// through perm reproduces the identity output bit for bit
+// (tests/walk_kernel_test.cc pins this).
 //
-// Layouts are built once per subgraph — by SubgraphCache when it admits a
+// Layouts are built once per subgraph by SubgraphCache when it admits a
 // payload (steady-state serving pays the permutation once per cached
-// subgraph) or by the kernel itself for one-shot large builds — and adopted
-// by WalkKernel::BuildTransitions via shared_ptr.
+// subgraph) and passed to WalkPlan::Build / WalkKernel::BuildTransitions
+// via shared_ptr. The kernel never builds one itself.
 #ifndef LONGTAIL_GRAPH_WALK_LAYOUT_H_
 #define LONGTAIL_GRAPH_WALK_LAYOUT_H_
 
@@ -41,8 +43,8 @@ namespace longtail {
 
 /// Data-cache capacities of the running machine, probed once per process
 /// (sysconf where the platform exposes them, conservative defaults
-/// otherwise). The kernel's adaptive sweep selection and the layout
-/// threshold compare working-set bytes against these.
+/// otherwise). The layout threshold and the fusion width cap compare
+/// working-set bytes against these.
 struct CacheGeometry {
   size_t l1d_bytes;
   size_t l2_bytes;
@@ -51,9 +53,9 @@ struct CacheGeometry {
 
 const CacheGeometry& ProbeCacheGeometry();
 
-/// A node permutation of one BipartiteGraph plus its CSR (and optionally
-/// the row-stochastic transition values) materialized in permuted order.
-/// Immutable once built; shared across workspaces via shared_ptr.
+/// A node permutation of one BipartiteGraph plus its weighted CSR
+/// materialized in permuted order. Immutable once built; shared across
+/// workspaces via shared_ptr.
 struct WalkLayout {
   int32_t num_users = 0;
   int32_t num_nodes = 0;
@@ -64,10 +66,11 @@ struct WalkLayout {
   /// order, column ids renamed through perm. ptr has num_nodes + 1 entries.
   std::vector<int64_t> ptr;
   std::vector<NodeId> col;
-  /// Row-stochastic transition values parallel to col, same rounding as
-  /// WalkKernel::BuildTransitions(kRowStochastic). Empty when the layout
-  /// was built without them (non-row-stochastic consumers).
-  std::vector<double> row_prob;
+  /// Raw edge weights parallel to col (row perm[v] holds row v's weights
+  /// in original order).
+  std::vector<double> w;
+  /// Weighted degree of each permuted row: wdeg[perm[v]] is row v's.
+  std::vector<double> wdeg;
 };
 
 /// Builds the degree-bucketed BFS permutation and permuted CSR for `g`.
@@ -75,17 +78,14 @@ struct WalkLayout {
 /// traversed breadth-first (neighbors in row order); isolated nodes keep
 /// their relative order at the end of each side. O(nodes + edges).
 /// Reuses `out`'s buffer capacity.
-void BuildWalkLayout(const BipartiteGraph& g, bool with_row_prob,
-                     WalkLayout* out);
+void BuildWalkLayout(const BipartiteGraph& g, WalkLayout* out);
 
-/// The reorder threshold shared by the kernel's auto plan and the cache:
-/// true when the value vector outgrows L2 (gathers start missing) and the
+/// The cache's reorder threshold: true when the value vector outgrows L2 (gathers start missing) and the
 /// graph is dense enough (entries >= 2·nodes) for locality to matter.
 bool WalkLayoutReorderBeneficial(int32_t num_nodes, int64_t entries);
 
 /// BuildWalkLayout behind the WalkLayoutReorderBeneficial gate; nullptr
-/// when reordering would not pay. Always includes row_prob (the consumers
-/// are the row-stochastic truncated sweeps).
+/// when reordering would not pay.
 std::shared_ptr<const WalkLayout> BuildWalkLayoutIfBeneficial(
     const BipartiteGraph& g);
 

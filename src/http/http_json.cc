@@ -405,6 +405,9 @@ void WriteNumber(double v, std::string* out) {
   }
   if (std::nearbyint(v) == v && v >= -9007199254740992.0 &&
       v <= 9007199254740992.0) {
+    // The integer cast drops the sign of -0.0; keep it so the value
+    // round-trips bit-identically (JSON's "-0" parses back as -0.0).
+    if (std::signbit(v) && v == 0.0) out->push_back('-');
     *out += std::to_string(static_cast<int64_t>(v));
     return;
   }

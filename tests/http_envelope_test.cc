@@ -125,6 +125,7 @@ TEST(JsonTest, DoublesRoundTripBitIdentical) {
   // The property the HTTP parity test builds on: a score serialized into a
   // response body parses back to the bit-identical double.
   const double cases[] = {0.0,
+                          -0.0,
                           1.0,
                           -1.0,
                           1.0 / 3.0,
@@ -150,6 +151,9 @@ TEST(JsonTest, IntegralDoublesPrintAsIntegers) {
   JsonValue root = JsonValue::Object();
   root.Set("k", JsonValue::Number(42.0));
   EXPECT_EQ(WriteJson(root), "{\"k\":42}");
+  JsonValue negative_zero = JsonValue::Object();
+  negative_zero.Set("k", JsonValue::Number(-0.0));
+  EXPECT_EQ(WriteJson(negative_zero), "{\"k\":-0}");
 }
 
 TEST(JsonTest, AsInt64ChecksIntegralityAndRange) {

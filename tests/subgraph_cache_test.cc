@@ -315,6 +315,24 @@ TEST(SubgraphCacheLruTest, CacheHitReusesPayloadLayoutWithoutRepermuting) {
   // Same layout object, shared by pointer: the hit did not re-permute.
   EXPECT_EQ(built.get(), adopter.sub().layout.get());
 
+  // The resident-byte account charges every layout array: the same entry
+  // admitted without a layout costs exactly the layout's bytes less.
+  SubgraphCache plain;
+  WalkWorkspace plain_ws;
+  plain.GetOrExtract(g, seeds, sub_options, &plain_ws);
+  ASSERT_EQ(nullptr, plain_ws.sub().layout);
+  const size_t layout_bytes = built->perm.size() * sizeof(int32_t) +
+                              built->ptr.size() * sizeof(int64_t) +
+                              built->col.size() * sizeof(NodeId) +
+                              built->w.size() * sizeof(double) +
+                              built->wdeg.size() * sizeof(double);
+  EXPECT_GT(built->w.size(), 0u);
+  EXPECT_EQ(static_cast<size_t>(built->num_nodes), built->wdeg.size());
+  EXPECT_EQ(plain.Stats().resident_bytes + layout_bytes,
+            cache.Stats().resident_bytes);
+  EXPECT_EQ(plain.Stats().plan_resident_bytes,
+            cache.Stats().plan_resident_bytes);
+
   WalkWorkspace uncached;
   ExtractSubgraphInto(g, seeds, sub_options, &uncached);
   EXPECT_EQ(nullptr, uncached.sub().layout);

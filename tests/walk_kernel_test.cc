@@ -1,5 +1,5 @@
-// Walk-kernel / legacy parity: the blocked, pre-normalized WalkKernel
-// sweeps must agree with the retained reference loop
+// Walk-kernel / legacy parity: the normalizing WalkKernel sweeps must
+// agree with the retained reference loop
 // (AbsorbingValueTruncatedReference) on random bipartite graphs — including
 // isolated nodes, all-absorbing and empty-absorbing sets, and empty
 // subgraphs — and the kernel-served recommenders must stay bit-identical
@@ -68,6 +68,14 @@ std::vector<double> RandomCosts(int32_t n, uint64_t seed) {
   std::vector<double> costs(n);
   for (int32_t v = 0; v < n; ++v) costs[v] = cost(rng);
   return costs;
+}
+
+/// A BuildWalkLayout permutation of `g`, as a SubgraphCache payload would
+/// carry it.
+std::shared_ptr<const WalkLayout> LayoutOf(const BipartiteGraph& g) {
+  auto layout = std::make_shared<WalkLayout>();
+  BuildWalkLayout(g, layout.get());
+  return layout;
 }
 
 void ExpectSweepParity(const BipartiteGraph& g,
@@ -409,14 +417,14 @@ TEST(WalkKernelTest, RuntimeIsaDispatchBitIdenticalToGeneric) {
   }
 }
 
-// The three execution plans — simple flat loop, L1-blocked tiles, blocked
-// over a WalkLayout-permuted CSR — are *memory layout* decisions only: for
+// The two execution plans — identity (no layout) and layout (an adopted
+// BuildWalkLayout permutation) — are *memory layout* decisions only: for
 // the same query they must produce BIT-identical results, including the
-// reordered plan, whose coefficients are scattered and outputs gathered
-// through the permutation. Exercised against the auto plan on random
-// graphs with isolated nodes and single-side (users-only / items-only)
-// graphs, at several τ, on both the dispatched and the generic row-gather
-// flavour.
+// layout plan, whose coefficients are scattered and outputs gathered
+// through the permutation. Exercised against the identity plan on the
+// dispatched ISA, on random graphs with isolated nodes and single-side
+// (users-only / items-only) graphs, at several τ, on both the dispatched
+// and the generic row-gather flavour.
 TEST(WalkKernelTest, ExecutionPlansBitIdenticalAcrossLayouts) {
   struct Config {
     int32_t users, items, isolated_users, isolated_items;
@@ -428,11 +436,6 @@ TEST(WalkKernelTest, ExecutionPlansBitIdenticalAcrossLayouts) {
       {25, 0, 3, 0, 0.0},     // users only — every row isolated
       {0, 18, 0, 2, 0.0},     // items only
   };
-  const WalkKernel::SweepMode plans[] = {
-      WalkKernel::SweepMode::kSimple,
-      WalkKernel::SweepMode::kBlocked,
-      WalkKernel::SweepMode::kBlockedReordered,
-  };
   uint64_t seed = 31000;
   for (const Config& c : configs) {
     const BipartiteGraph g = RandomGraph(c.users, c.items, c.density, ++seed,
@@ -440,19 +443,22 @@ TEST(WalkKernelTest, ExecutionPlansBitIdenticalAcrossLayouts) {
     const int32_t n = g.num_nodes();
     const auto absorbing = RandomAbsorbing(n, 0.2, ++seed);
     const auto costs = RandomCosts(n, ++seed);
+    const std::shared_ptr<const WalkLayout> layouts[] = {nullptr,
+                                                         LayoutOf(g)};
     for (int tau : {1, 7, 16}) {
-      WalkKernel base;  // auto plan, dispatched ISA
+      WalkKernel base;  // identity plan, dispatched ISA
       base.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
       base.CompileAbsorbingSweep(absorbing, costs);
       std::vector<double> full, scratch, rank;
       base.SweepTruncated(tau, &full, &scratch);
       base.SweepTruncatedItemValues(tau, &rank);
       for (bool generic : {false, true}) {
-        for (WalkKernel::SweepMode plan : plans) {
+        for (const auto& layout : layouts) {
           WalkKernel k;
           if (generic) k.ForceGenericIsaForTesting();
-          k.ForcePlanForTesting(plan);
-          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic,
+                             layout);
+          EXPECT_EQ(layout != nullptr, k.reordered());
           k.CompileAbsorbingSweep(absorbing, costs);
           const std::string label =
               std::string(k.sweep_strategy()) + (generic ? "/generic" : "") +
@@ -475,67 +481,25 @@ TEST(WalkKernelTest, ExecutionPlansBitIdenticalAcrossLayouts) {
   }
 }
 
-// Forced plans on the empty subgraph an empty seed set extracts (and on a
-// default-constructed graph): every plan must handle n == 0.
-TEST(WalkKernelTest, ForcedPlansHandleEmptySeedSubgraph) {
+// Both plans on the empty subgraph an empty seed set extracts: n == 0 must
+// sweep to empty outputs.
+TEST(WalkKernelTest, PlansHandleEmptySeedSubgraph) {
   const BipartiteGraph g = RandomGraph(12, 8, 0.3, 33000);
-  for (WalkKernel::SweepMode plan :
-       {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked,
-        WalkKernel::SweepMode::kBlockedReordered}) {
-    WalkWorkspace ws;
-    ws.kernel.ForcePlanForTesting(plan);
-    const Subgraph& sub = ExtractSubgraphInto(g, {}, SubgraphOptions{}, &ws);
-    EXPECT_EQ(0, sub.graph.num_nodes());
-    std::vector<double> value, scratch;
-    AbsorbingValueTruncated(sub.graph, {}, {}, 15, &ws.kernel, &value,
-                            &scratch);
+  WalkWorkspace ws;
+  const Subgraph& sub = ExtractSubgraphInto(g, {}, SubgraphOptions{}, &ws);
+  EXPECT_EQ(0, sub.graph.num_nodes());
+  for (const auto& layout : {std::shared_ptr<const WalkLayout>(),
+                             LayoutOf(sub.graph)}) {
+    ws.kernel.BuildTransitions(sub.graph,
+                               WalkKernel::Normalization::kRowStochastic,
+                               layout);
+    ws.kernel.CompileAbsorbingSweep({}, {});
+    std::vector<double> value{1.0}, scratch;
+    ws.kernel.SweepTruncated(15, &value, &scratch);
     EXPECT_TRUE(value.empty());
-  }
-}
-
-// Apply must also be layout-invariant, bit for bit: the sparse push runs
-// in original id space off the graph's own CSR on every plan, and the
-// dense pull preserves each row's entry order through the permutation.
-// (kSimple is row-stochastic-only, which no Apply caller uses.)
-TEST(WalkKernelTest, ApplyBitIdenticalAcrossBlockedPlans) {
-  const BipartiteGraph g = RandomGraph(45, 35, 0.12, 35000, 3, 2);
-  const int32_t n = g.num_nodes();
-  std::vector<double> dense(n), restart(n), sparse(n, 0.0);
-  for (int32_t v = 0; v < n; ++v) {
-    dense[v] = 0.25 + 0.5 * ((v * 2654435761u) % 97) / 97.0;
-    restart[v] = v % 5 == 0 ? 0.2 : 0.0;
-  }
-  sparse[g.UserNode(7)] = 1.0;  // frontier of one → the push path
-  for (WalkKernel::Normalization norm :
-       {WalkKernel::Normalization::kColumnStochastic,
-        WalkKernel::Normalization::kRaw}) {
-    WalkKernel base;  // auto plan, dispatched ISA
-    base.BuildTransitions(g, norm);
-    std::vector<double> y_dense(n), y_sparse(n);
-    base.Apply(0.85, dense.data(), 0.15, restart.data(), y_dense.data());
-    base.Apply(0.5, sparse.data(), 0.0, nullptr, y_sparse.data());
-    for (bool generic : {false, true}) {
-      for (WalkKernel::SweepMode plan :
-           {WalkKernel::SweepMode::kBlocked,
-            WalkKernel::SweepMode::kBlockedReordered}) {
-        WalkKernel k;
-        if (generic) k.ForceGenericIsaForTesting();
-        k.ForcePlanForTesting(plan);
-        k.BuildTransitions(g, norm);
-        const std::string label = std::string(k.sweep_strategy()) +
-                                  (generic ? "/generic" : "") +
-                                  (norm == WalkKernel::Normalization::kRaw
-                                       ? " raw"
-                                       : " colstoch");
-        std::vector<double> ya(n), yb(n);
-        k.Apply(0.85, dense.data(), 0.15, restart.data(), ya.data());
-        k.Apply(0.5, sparse.data(), 0.0, nullptr, yb.data());
-        for (int32_t v = 0; v < n; ++v) {
-          EXPECT_EQ(y_dense[v], ya[v]) << label << " dense node " << v;
-          EXPECT_EQ(y_sparse[v], yb[v]) << label << " sparse node " << v;
-        }
-      }
-    }
+    value.assign(1, 1.0);
+    ws.kernel.SweepTruncatedItemValues(15, &value);
+    EXPECT_TRUE(value.empty());
   }
 }
 
@@ -558,8 +522,7 @@ TEST(WalkKernelTest, SharedLayoutParityAtOneAndEightThreads) {
   identity.SweepTruncated(kTau, &expected_full, &scratch);
   identity.SweepTruncatedItemValues(kTau, &expected_rank);
 
-  auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
+  const auto layout = LayoutOf(g);
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     std::vector<std::vector<double>> full(threads), rank(threads);
@@ -592,31 +555,27 @@ TEST(WalkKernelTest, SharedLayoutParityAtOneAndEightThreads) {
 
 // The fused multi-query sweep's contract: lane q of the strided value
 // block is bit-identical to a sequential SweepTruncatedItemValues of query
-// q — across every execution plan, both ISA flavours, ragged widths (the
-// lane tail past the last multiple of 4), mixed per-query absorbing sets,
-// and odd/even iteration counts.
+// q — on both execution plans, both ISA flavours, ragged widths (the lane
+// tail past the last multiple of 4), mixed per-query absorbing sets, and
+// odd/even iteration counts.
 TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
-  const WalkKernel::SweepMode plans[] = {
-      WalkKernel::SweepMode::kSimple,
-      WalkKernel::SweepMode::kBlocked,
-      WalkKernel::SweepMode::kBlockedReordered,
-  };
   uint64_t seed = 90000;
   const BipartiteGraph g = RandomGraph(90, 110, 0.10, ++seed, 5, 6);
   const int32_t n = g.num_nodes();
   const auto costs = RandomCosts(n, ++seed);
+  const std::shared_ptr<const WalkLayout> layouts[] = {nullptr, LayoutOf(g)};
   for (int width : {1, 2, 3, 4, 5, 7, 8, 11, 16, 17}) {
     std::vector<std::vector<bool>> absorbing;
     for (int q = 0; q < width; ++q) {
       absorbing.push_back(RandomAbsorbing(n, 0.15, seed + 100 + q));
     }
     for (bool generic : {false, true}) {
-      for (WalkKernel::SweepMode plan : plans) {
+      for (const auto& layout : layouts) {
         for (int tau : {1, 2, 7, 16}) {
           WalkKernel k;
           if (generic) k.ForceGenericIsaForTesting();
-          k.ForcePlanForTesting(plan);
-          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic);
+          k.BuildTransitions(g, WalkKernel::Normalization::kRowStochastic,
+                             layout);
           k.CompileAbsorbingSweepBatch(absorbing, costs);
           std::vector<double> block;
           k.SweepTruncatedItemValuesBatch(tau, &block);
@@ -643,12 +602,11 @@ TEST(WalkKernelTest, FusedBatchSweepBitIdenticalToSequential) {
 // drop-in for the sequential sweep even when nothing fuses).
 TEST(WalkKernelTest, FusedBatchHandlesEmptyAndAllAbsorbingLanes) {
   const BipartiteGraph empty = BipartiteGraph::FromAdjacency(0, 0, {});
-  for (WalkKernel::SweepMode plan :
-       {WalkKernel::SweepMode::kSimple, WalkKernel::SweepMode::kBlocked,
-        WalkKernel::SweepMode::kBlockedReordered}) {
+  for (const auto& layout :
+       {std::shared_ptr<const WalkLayout>(), LayoutOf(empty)}) {
     WalkKernel k;
-    k.ForcePlanForTesting(plan);
-    k.BuildTransitions(empty, WalkKernel::Normalization::kRowStochastic);
+    k.BuildTransitions(empty, WalkKernel::Normalization::kRowStochastic,
+                       layout);
     k.CompileAbsorbingSweepBatch({{}, {}, {}}, {});
     std::vector<double> block{1.0, 2.0};
     k.SweepTruncatedItemValuesBatch(15, &block);
@@ -704,10 +662,8 @@ TEST(WalkKernelTest, FusedBatchSharedPlanParityAtOneAndEightThreads) {
     }
   }
 
-  auto layout = std::make_shared<WalkLayout>();
-  BuildWalkLayout(g, /*with_row_prob=*/true, layout.get());
   auto plan = std::make_shared<WalkPlan>();
-  plan->Build(g, WalkNormalization::kRowStochastic, layout);
+  plan->Build(g, WalkNormalization::kRowStochastic, LayoutOf(g));
 
   for (size_t threads : {size_t{1}, size_t{8}}) {
     std::vector<std::vector<double>> blocks(threads);

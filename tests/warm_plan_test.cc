@@ -92,7 +92,7 @@ TEST(WarmPlanTest, SharedPlanConcurrentSweepsMatchPrivateBuildBitExactly) {
     std::shared_ptr<const WalkLayout> layout;
     if (with_layout) {
       auto built = std::make_shared<WalkLayout>();
-      BuildWalkLayout(g, /*with_row_prob=*/true, built.get());
+      BuildWalkLayout(g, built.get());
       layout = std::move(built);
     }
     // Cold path: a kernel that builds its own plan.
